@@ -91,7 +91,3 @@ def read_trace(path) -> list[dict]:
 
 def emit_trace(records: Iterable[dict]) -> str:
     return "".join(_canonical(r) + "\n" for r in records)
-
-
-def trace_states(records: list[dict]) -> list[dict]:
-    return [r for r in records if r["type"] in ("step", "final")]

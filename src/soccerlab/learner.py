@@ -10,14 +10,13 @@ step counters that population training reads for eligibility decisions.
 """
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .env import ACTION_DIM, CHANNEL_NAMES, N_CHANNELS, OBS_DIM
-from .netcore import AdamState, ParamSet, Tensor, adam_step, collect_grads, gaussian, no_grad, stack, wrap_leaves
+from .netcore import AdamState, ParamSet, Tensor, adam_step, collect_grads, gaussian, stack, wrap_leaves
 from .nets import ArchSpec, CriticNet, PolicyNet, load_checkpoint, save_checkpoint
 
 # Evolvable knobs, in the order used by cross-over masks and mutation draws.
@@ -164,8 +163,7 @@ def _state_at(states: list | None, index: int):
 
 class ReplayBuffer:
     """Bounded FIFO of snippets.  Sampling is uniform over entries younger
-    than the recency threshold (in insertions); appends and samples may come
-    from different threads, so mutation is serialized."""
+    than the recency threshold (in insertions)."""
 
     def __init__(self, capacity: int, recency_threshold: int | None = None):
         if capacity < 1:
@@ -174,26 +172,22 @@ class ReplayBuffer:
         self.recency_threshold = int(recency_threshold if recency_threshold is not None else capacity)
         self._entries: deque[tuple[int, TrajectorySnippet]] = deque()
         self._n_added = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def n_added(self) -> int:
         return self._n_added
 
     def add(self, snippet: TrajectorySnippet) -> None:
-        with self._lock:
-            self._entries.append((self._n_added, snippet))
-            self._n_added += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popleft()
+        self._entries.append((self._n_added, snippet))
+        self._n_added += 1
+        while len(self._entries) > self.capacity:
+            self._entries.popleft()
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def _fresh(self) -> list[TrajectorySnippet]:
         oldest_allowed = self._n_added - self.recency_threshold
@@ -204,17 +198,16 @@ class ReplayBuffer:
     def sample(self, rng: np.random.Generator, batch: int) -> list[TrajectorySnippet]:
         """Uniformly pick a pivot snippet, then fill the batch from snippets
         of the same length so the result stacks into rectangular arrays."""
-        with self._lock:
-            fresh = self._fresh()
-            if not fresh:
-                return []
-            pivot = fresh[rng.integers(len(fresh))]
-            group = [s for s in fresh if len(s) == len(pivot)]
-            if len(group) >= batch:
-                picks = rng.choice(len(group), size=batch, replace=False)
-            else:
-                picks = rng.integers(len(group), size=batch)
-            return [group[i] for i in picks]
+        fresh = self._fresh()
+        if not fresh:
+            return []
+        pivot = fresh[rng.integers(len(fresh))]
+        group = [s for s in fresh if len(s) == len(pivot)]
+        if len(group) >= batch:
+            picks = rng.choice(len(group), size=batch, replace=False)
+        else:
+            picks = rng.integers(len(group), size=batch)
+        return [group[i] for i in picks]
 
 
 def retrace_from_values(
@@ -335,16 +328,17 @@ def _stack_states(states: list) -> tuple[np.ndarray, np.ndarray] | None:
     )
 
 
-def _policy_seq(net: PolicyNet, leaves: dict, obs_seq: np.ndarray, state0) -> tuple[Tensor, Tensor]:
-    """Policy means/stddevs over a [B, T, obs] sequence as [B, T, act] tensors."""
+def _policy_seq(net: PolicyNet, params: dict, obs_seq: np.ndarray, state0) -> tuple:
+    """Policy means/stddevs over a [B, T, obs] sequence as [B, T, act]
+    arrays, or Tensors when `params` are autodiff leaves."""
     batch, horizon = obs_seq.shape[:2]
     if not net.arch.recurrent:
-        mean, stddev, _ = net.forward(leaves, obs_seq.reshape(batch * horizon, -1))
+        mean, stddev, _ = net.forward(params, obs_seq.reshape(batch * horizon, -1))
         return mean.reshape(batch, horizon, ACTION_DIM), stddev.reshape(batch, horizon, ACTION_DIM)
     state = state0 if state0 is not None else net.zero_state(batch)
     means, stddevs = [], []
     for t in range(horizon):
-        mean, stddev, state = net.forward(leaves, obs_seq[:, t], state)
+        mean, stddev, state = net.forward(params, obs_seq[:, t], state)
         means.append(mean)
         stddevs.append(stddev)
     return stack(means, axis=1), stack(stddevs, axis=1)
@@ -352,24 +346,24 @@ def _policy_seq(net: PolicyNet, leaves: dict, obs_seq: np.ndarray, state0) -> tu
 
 def _critic_seq(
     net: CriticNet,
-    leaves: dict,
+    params: dict,
     obs_seq: np.ndarray,
     act_seq,
     state0,
-) -> tuple[Tensor, list | None]:
+) -> tuple:
     """Critic values over a sequence; for recurrent critics also the state
     *before* each step (index t is the priming state for a query at x_t)."""
     batch, horizon = obs_seq.shape[:2]
     if not net.arch.recurrent:
         flat_act = act_seq.reshape(batch * horizon, ACTION_DIM)
-        q, _ = net.forward(leaves, obs_seq.reshape(batch * horizon, -1), flat_act)
+        q, _ = net.forward(params, obs_seq.reshape(batch * horizon, -1), flat_act)
         return q.reshape(batch, horizon, net.n_heads), None
     state = state0 if state0 is not None else net.zero_state(batch)
     pre_states = []
     qs = []
     for t in range(horizon):
         pre_states.append(state)
-        q, state = net.forward(leaves, obs_seq[:, t], act_seq[:, t], state)
+        q, state = net.forward(params, obs_seq[:, t], act_seq[:, t], state)
         qs.append(q)
     pre_states.append(state)  # state before a query at the final observation
     return stack(qs, axis=1), pre_states
@@ -436,56 +430,49 @@ class Learner:
         cfg = self.config
         n_samples = cfg.expectation_samples
         B, T = batch.batch, batch.horizon
-        with no_grad():
-            online_leaves = wrap_leaves(self.policy.arrays)
-            mean_on, stddev_on = _policy_seq(self.policy_net, online_leaves, batch.observations, batch.policy_state0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_pi = gaussian.log_prob_np(mean_on.data, stddev_on.data, batch.actions)
-                log_beta = gaussian.log_prob_np(batch.behavior_mean, batch.behavior_stddev, batch.actions)
-                log_diff = log_pi - log_beta
-            # A vanishing behavior density makes the ratio meaningless; the
-            # truncation convention caps those at 1, and we count them.
-            bad = ~np.isfinite(log_diff)
-            ratios = np.exp(np.minimum(np.where(bad, 0.0, log_diff), 0.0))
-            ratios[bad] = 1.0
+        mean_on, stddev_on = _policy_seq(self.policy_net, self.policy.arrays, batch.observations, batch.policy_state0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pi = gaussian.log_prob_np(mean_on, stddev_on, batch.actions)
+            log_beta = gaussian.log_prob_np(batch.behavior_mean, batch.behavior_stddev, batch.actions)
+            log_diff = log_pi - log_beta
+        # A vanishing behavior density makes the ratio meaningless; the
+        # truncation convention caps those at 1, and we count them.
+        bad = ~np.isfinite(log_diff)
+        ratios = np.exp(np.minimum(np.where(bad, 0.0, log_diff), 0.0))
+        ratios[bad] = 1.0
 
-            # Distributions of the target policy at x_1 .. x_T, with correct
-            # recurrent state: one unroll over the extended sequence.
-            extended = np.concatenate([batch.observations, batch.final_observation[:, None]], axis=1)
-            target_leaves = wrap_leaves(self.policy_target.arrays)
-            mean_tp, stddev_tp = _policy_seq(self.policy_net, target_leaves, extended, batch.policy_state0)
-            next_mean = mean_tp.data[:, 1:]
-            next_stddev = stddev_tp.data[:, 1:]
+        # Distributions of the target policy at x_1 .. x_T, with correct
+        # recurrent state: one unroll over the extended sequence.
+        extended = np.concatenate([batch.observations, batch.final_observation[:, None]], axis=1)
+        mean_tp, stddev_tp = _policy_seq(self.policy_net, self.policy_target.arrays, extended, batch.policy_state0)
+        next_mean = mean_tp[:, 1:]
+        next_stddev = stddev_tp[:, 1:]
 
-            critic_leaves = wrap_leaves(self.critic_target.arrays)
-            q_behavior, pre_states = _critic_seq(
-                self.critic_net, critic_leaves, batch.observations, batch.actions, batch.critic_state0
-            )
-            q_behavior = q_behavior.data
+        critic = self.critic_target.arrays
+        q_behavior, pre_states = _critic_seq(
+            self.critic_net, critic, batch.observations, batch.actions, batch.critic_state0
+        )
 
-            noise = self.rng.standard_normal((n_samples, B, T, ACTION_DIM))
-            sampled = next_mean[None] + next_stddev[None] * noise
-            next_obs = extended[:, 1:]
-            if not self.critic_net.arch.recurrent:
-                flat_obs = np.broadcast_to(next_obs[None], (n_samples, B, T, OBS_DIM)).reshape(-1, OBS_DIM)
-                q_next, _ = self.critic_net.forward(critic_leaves, flat_obs, sampled.reshape(-1, ACTION_DIM))
-                q_next = q_next.data.reshape(n_samples, B, T, -1)
-            else:
-                # Query states come from the behavior unroll: the state before
-                # consuming x_{t+1} primes the sampled-action evaluation there.
-                q_next = np.empty((n_samples, B, T, self.critic_net.n_heads))
-                for t in range(T):
-                    h, c = pre_states[t + 1]
-                    state = (
-                        Tensor(np.repeat(h.data, n_samples, axis=0)),
-                        Tensor(np.repeat(c.data, n_samples, axis=0)),
-                    )
-                    obs_rep = np.repeat(next_obs[:, t], n_samples, axis=0)
-                    act_rep = sampled[:, :, t].transpose(1, 0, 2).reshape(-1, ACTION_DIM)
-                    q_t, _ = self.critic_net.forward(critic_leaves, obs_rep, act_rep, state)
-                    q_next[:, :, t] = q_t.data.reshape(B, n_samples, -1).transpose(1, 0, 2)
-            next_expected_q = q_next.mean(axis=0)
-            next_expected_q[batch.terminal, -1] = 0.0
+        noise = self.rng.standard_normal((n_samples, B, T, ACTION_DIM))
+        sampled = next_mean[None] + next_stddev[None] * noise
+        next_obs = extended[:, 1:]
+        if not self.critic_net.arch.recurrent:
+            flat_obs = np.broadcast_to(next_obs[None], (n_samples, B, T, OBS_DIM)).reshape(-1, OBS_DIM)
+            q_next, _ = self.critic_net.forward(critic, flat_obs, sampled.reshape(-1, ACTION_DIM))
+            q_next = q_next.reshape(n_samples, B, T, -1)
+        else:
+            # Query states come from the behavior unroll: the state before
+            # consuming x_{t+1} primes the sampled-action evaluation there.
+            q_next = np.empty((n_samples, B, T, self.critic_net.n_heads))
+            for t in range(T):
+                h, c = pre_states[t + 1]
+                state = (np.repeat(h, n_samples, axis=0), np.repeat(c, n_samples, axis=0))
+                obs_rep = np.repeat(next_obs[:, t], n_samples, axis=0)
+                act_rep = sampled[:, :, t].transpose(1, 0, 2).reshape(-1, ACTION_DIM)
+                q_t, _ = self.critic_net.forward(critic, obs_rep, act_rep, state)
+                q_next[:, :, t] = q_t.reshape(B, n_samples, -1).transpose(1, 0, 2)
+        next_expected_q = q_next.mean(axis=0)
+        next_expected_q[batch.terminal, -1] = 0.0
 
         targets = retrace_from_values(
             self._channel_rewards(batch.rewards),
@@ -517,9 +504,11 @@ class Learner:
         metrics["critic_skipped"] = not accepted
         return metrics
 
-    def policy_loss(self, leaves: dict, critic_leaves: dict, batch: _Batch, noise: np.ndarray) -> tuple[Tensor, dict]:
+    def policy_loss(self, leaves: dict, critic: dict, batch: _Batch, noise: np.ndarray) -> tuple[Tensor, dict]:
         """Negated surrogate: combined critic value at reparameterized actions
-        plus the entropy bonus; `noise` is [samples, B, T, act]."""
+        plus the entropy bonus; `noise` is [samples, B, T, act].  `critic`
+        is this learner's critic: its plain arrays, which hold it constant,
+        or leaves wrapped around them, which also collect its gradients."""
         cfg = self.config
         B, T = batch.batch, batch.horizon
         mean, stddev = _policy_seq(self.policy_net, leaves, batch.observations, batch.policy_state0)
@@ -527,13 +516,12 @@ class Learner:
 
         if self.critic_net.arch.recurrent:
             # Query states replay the behavior unroll and are held constant.
-            with no_grad():
-                _, pre_states = _critic_seq(
-                    self.critic_net, critic_leaves, batch.observations, batch.actions, batch.critic_state0
-                )
+            _, pre_states = _critic_seq(
+                self.critic_net, self.critic.arrays, batch.observations, batch.actions, batch.critic_state0
+            )
             query_state = (
-                Tensor(np.concatenate([pre_states[t][0].data for t in range(T)], axis=0)),
-                Tensor(np.concatenate([pre_states[t][1].data for t in range(T)], axis=0)),
+                np.concatenate([pre_states[t][0] for t in range(T)], axis=0),
+                np.concatenate([pre_states[t][1] for t in range(T)], axis=0),
             )
             flat_obs = batch.observations.transpose(1, 0, 2).reshape(T * B, OBS_DIM)
             reorder = True
@@ -551,7 +539,7 @@ class Learner:
                 flat_action = _transpose_bt(action, B, T)
             else:
                 flat_action = action.reshape(B * T, ACTION_DIM)
-            q, _ = self.critic_net.forward(critic_leaves, flat_obs, flat_action, query_state)
+            q, _ = self.critic_net.forward(critic, flat_obs, flat_action, query_state)
             combined = (q * weights).sum(axis=-1)
             value_sum = combined if value_sum is None else value_sum + combined
         value = value_sum.mean() * (1.0 / cfg.policy_samples)
@@ -563,15 +551,13 @@ class Learner:
     def policy_update(self, batch: _Batch) -> dict:
         cfg = self.config
         leaves = wrap_leaves(self.policy.arrays)
-        critic_leaves = wrap_leaves(self.critic.arrays)
         noise = self.rng.standard_normal((cfg.policy_samples, batch.batch, batch.horizon, ACTION_DIM))
-        loss, metrics = self.policy_loss(leaves, critic_leaves, batch, noise)
+        loss, metrics = self.policy_loss(leaves, self.critic.arrays, batch, noise)
         metrics["policy_skipped"] = False
         if not np.isfinite(loss.data):
             metrics["policy_skipped"] = True
             return metrics
         loss.backward()
-        # Critic leaves accumulated gradients too; only the policy steps here.
         accepted = adam_step(self.policy, collect_grads(leaves), self.policy_adam, self.hyperparams.actor_lr)
         metrics["policy_skipped"] = not accepted
         return metrics

@@ -2,7 +2,7 @@
 
 from . import gaussian
 from .adam import AdamState, adam_step
-from .autodiff import Tensor, as_tensor, concat, grad_enabled, no_grad, stack
+from .autodiff import Tensor, amax, amin, concat, elu, mean, softplus, stack
 from .layers import (
     collect_grads,
     linear,
@@ -22,18 +22,20 @@ __all__ = [
     "ParamSet",
     "Tensor",
     "adam_step",
-    "as_tensor",
+    "amax",
+    "amin",
     "collect_grads",
     "concat",
+    "elu",
     "gaussian",
-    "grad_enabled",
     "linear",
     "linear_params",
     "lstm_params",
     "lstm_step",
+    "mean",
     "mlp_elu",
     "mlp_params",
-    "no_grad",
+    "softplus",
     "stack",
     "uniform_init",
     "wrap_leaves",

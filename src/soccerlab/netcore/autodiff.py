@@ -1,40 +1,24 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor wraps an ndarray and remembers how it was produced. Calling
-backward() on a scalar result walks the recorded graph in reverse
-topological order and accumulates gradients into every participating
-tensor. All arithmetic stays in float64 so finite-difference checks
-remain meaningful.
+Every op computes its value from plain arrays. When at least one operand is
+a Tensor, the op also records a graph node that links the result to its
+Tensor operands; ndarray and scalar operands are constants and take no part
+in the graph. The same layer code therefore returns an ndarray from ndarray
+inputs (inference builds no graph at all) and a Tensor from wrapped leaves
+(training). Calling backward() on a scalar result walks the recorded graph
+in reverse topological order and accumulates gradients into every
+participating tensor. All arithmetic stays in float64 so finite-difference
+checks remain meaningful.
+
+A node's backward functions map the upstream gradient to one operand's
+gradient and never refer to the node itself, so a graph holds no reference
+cycle and is freed by reference counting once its last handle goes.
 """
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
-
-_GRAD_ENABLED = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (pure forward passes)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -51,15 +35,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Node in the autodiff graph; `data` is an ndarray, `grad` matches it."""
+    """Node in the autodiff graph; `data` is an ndarray, `grad` matches it.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    `_edges` pairs each Tensor operand with the function that maps this
+    node's gradient to that operand's gradient; a leaf has none.
+    """
 
-    def __init__(self, data, parents: Iterable["Tensor"] = (), backward: Callable | None = None):
-        self.data = _as_array(data)
+    __slots__ = ("data", "grad", "_edges")
+    # An ndarray on the left of an operator defers to the Tensor's reflected
+    # op instead of building an object array.
+    __array_ufunc__ = None
+
+    def __init__(self, data, edges: Sequence[tuple["Tensor", Callable]] = ()):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._parents = tuple(parents) if _GRAD_ENABLED else ()
-        self._backward = backward if _GRAD_ENABLED else None
+        self._edges = edges
 
     @property
     def shape(self) -> tuple:
@@ -77,7 +67,7 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without gradient requires a scalar tensor")
             gradient = np.ones_like(self.data)
-        gradient = _as_array(gradient)
+        gradient = np.asarray(gradient, dtype=np.float64)
         if gradient.shape != self.data.shape:
             raise ValueError(
                 f"upstream gradient shape {gradient.shape} does not match tensor shape {self.data.shape}"
@@ -94,254 +84,225 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent, _ in node._edges:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(gradient)
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward()
-
-    # ---- arithmetic -------------------------------------------------
-
-    def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
-
-        def backward():
-            self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad, other.data.shape))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Tensor(-self.data, (self,))
-
-        def backward():
-            self._accumulate(-out.grad)
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Tensor(other) + (-self)
-
-    def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
-
-        def backward():
-            self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
-
-        def backward():
-            self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
-            other._accumulate(
-                _unbroadcast(-out.grad * self.data / (other.data * other.data), other.data.shape)
-            )
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def __rtruediv__(self, other):
-        return Tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.data**exponent, (self,))
-
-        def backward():
-            self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError(
-                f"matmul expects 2-d operands, got {self.data.shape} @ {other.data.shape}"
-            )
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ValueError(
-                f"matmul dimension mismatch: {self.data.shape} @ {other.data.shape}"
-            )
-        out = Tensor(self.data @ other.data, (self, other))
-
-        def backward():
-            self._accumulate(out.grad @ other.data.T)
-            other._accumulate(self.data.T @ out.grad)
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    # ---- elementwise nonlinearities ---------------------------------
-
-    def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-
-        def backward():
-            self._accumulate(out.grad * out.data)
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-
-        def backward():
-            self._accumulate(out.grad / self.data)
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
-
-        def backward():
-            self._accumulate(out.grad * (1.0 - out.data * out.data))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def sigmoid(self):
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)), (self,))
-
-        def backward():
-            self._accumulate(out.grad * out.data * (1.0 - out.data))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def elu(self):
-        pos = self.data > 0.0
-        # expm1 overflows on the large positive entries np.where discards
-        with np.errstate(over="ignore"):
-            out = Tensor(np.where(pos, self.data, np.expm1(self.data)), (self,))
-
-        def backward():
-            self._accumulate(out.grad * np.where(pos, 1.0, out.data + 1.0))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def softplus(self):
-        out = Tensor(np.logaddexp(0.0, self.data), (self,))
-
-        def backward():
-            self._accumulate(out.grad / (1.0 + np.exp(-self.data)))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    # ---- reductions --------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def backward():
-            grad = out.grad
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis)
-            self._accumulate(np.broadcast_to(grad, self.data.shape).copy())
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def _extreme(self, axis: int, pick):
-        data = self.data
-        idx = pick(data, axis=axis)
-        out = Tensor(np.take_along_axis(data, np.expand_dims(idx, axis), axis).squeeze(axis), (self,))
-
-        def backward():
-            grad = np.zeros_like(data)
-            np.put_along_axis(grad, np.expand_dims(idx, axis), np.expand_dims(out.grad, axis), axis)
-            self._accumulate(grad)
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def amax(self, axis: int):
-        """Maximum along an axis; ties route the gradient to the first argmax."""
-        return self._extreme(axis, np.argmax)
-
-    def amin(self, axis: int):
-        return self._extreme(axis, np.argmin)
-
-    # ---- shape manipulation ------------------------------------------
-
-    def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
-
-        def backward():
-            self._accumulate(out.grad.reshape(self.data.shape))
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
-
-    def __getitem__(self, key):
-        out = Tensor(self.data[key], (self,))
-
-        def backward():
-            grad = np.zeros_like(self.data)
-            grad[key] = out.grad
-            self._accumulate(grad)
-
-        out._backward = backward if _GRAD_ENABLED else None
-        return out
+            for parent, backward in node._edges:
+                parent._accumulate(backward(node.grad))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
 
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward():
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * out.grad.ndim
-            index[axis if axis >= 0 else out.grad.ndim + axis] = slice(lo, hi)
-            t._accumulate(out.grad[tuple(index)])
-
-    out._backward = backward if _GRAD_ENABLED else None
-    return out
+def _data(x):
+    return x.data if isinstance(x, Tensor) else x
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors))
-
-    def backward():
-        for i, t in enumerate(tensors):
-            t._accumulate(np.take(out.grad, i, axis=axis))
-
-    out._backward = backward if _GRAD_ENABLED else None
-    return out
+def _node(value, *edges):
+    """`value` as a graph node over those (operand, backward) edges whose
+    operand is a Tensor, or `value` itself when no operand is one."""
+    edges = [edge for edge in edges if isinstance(edge[0], Tensor)]
+    return Tensor(value, edges) if edges else value
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+# ---- arithmetic -----------------------------------------------------------
+
+
+def add(a, b):
+    a_data, b_data = _data(a), _data(b)
+    return _node(
+        a_data + b_data,
+        (a, lambda g: _unbroadcast(g, a_data.shape)),
+        (b, lambda g: _unbroadcast(g, b_data.shape)),
+    )
+
+
+def neg(x):
+    return _node(-_data(x), (x, lambda g: -g))
+
+
+def sub(a, b):
+    return add(a, neg(b))
+
+
+def mul(a, b):
+    a_data, b_data = _data(a), _data(b)
+    return _node(
+        a_data * b_data,
+        (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
+        (b, lambda g: _unbroadcast(g * a_data, b_data.shape)),
+    )
+
+
+def div(a, b):
+    a_data, b_data = _data(a), _data(b)
+    return _node(
+        a_data / b_data,
+        (a, lambda g: _unbroadcast(g / b_data, a_data.shape)),
+        (b, lambda g: _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape)),
+    )
+
+
+def power(x, exponent: float):
+    if not isinstance(exponent, (int, float)):
+        raise TypeError("only scalar exponents are supported")
+    data = _data(x)
+    return _node(data**exponent, (x, lambda g: g * exponent * data ** (exponent - 1)))
+
+
+def matmul(a, b):
+    a_data, b_data = _data(a), _data(b)
+    if a_data.ndim != 2 or b_data.ndim != 2:
+        raise ValueError(f"matmul expects 2-d operands, got {a_data.shape} @ {b_data.shape}")
+    if a_data.shape[1] != b_data.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {a_data.shape} @ {b_data.shape}")
+    return _node(
+        a_data @ b_data,
+        (a, lambda g: g @ b_data.T),
+        (b, lambda g: a_data.T @ g),
+    )
+
+
+# ---- elementwise nonlinearities -------------------------------------------
+
+
+def exp(x):
+    value = np.exp(_data(x))
+    return _node(value, (x, lambda g: g * value))
+
+
+def log(x):
+    data = _data(x)
+    return _node(np.log(data), (x, lambda g: g / data))
+
+
+def tanh(x):
+    value = np.tanh(_data(x))
+    return _node(value, (x, lambda g: g * (1.0 - value * value)))
+
+
+def sigmoid(x):
+    value = 1.0 / (1.0 + np.exp(-_data(x)))
+    return _node(value, (x, lambda g: g * value * (1.0 - value)))
+
+
+def elu(x):
+    data = _data(x)
+    pos = data > 0.0
+    # expm1 overflows on the large positive entries np.where discards
+    with np.errstate(over="ignore"):
+        value = np.where(pos, data, np.expm1(data))
+    return _node(value, (x, lambda g: g * np.where(pos, 1.0, value + 1.0)))
+
+
+def softplus(x):
+    data = _data(x)
+    return _node(np.logaddexp(0.0, data), (x, lambda g: g / (1.0 + np.exp(-data))))
+
+
+# ---- reductions -----------------------------------------------------------
+
+
+def reduce_sum(x, axis=None, keepdims: bool = False):
+    data = _data(x)
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, data.shape).copy()
+
+    return _node(data.sum(axis=axis, keepdims=keepdims), (x, backward))
+
+
+def mean(x, axis=None, keepdims: bool = False):
+    """Sum times 1/count; ndarray.mean rounds differently, so every mean in
+    the networks goes through here whatever its operand."""
+    data = _data(x)
+    count = data.size if axis is None else data.shape[axis]
+    return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def _extreme(x, axis: int, pick):
+    data = _data(x)
+    idx = np.expand_dims(pick(data, axis=axis), axis)
+
+    def backward(g):
+        grad = np.zeros_like(data)
+        np.put_along_axis(grad, idx, np.expand_dims(g, axis), axis)
+        return grad
+
+    return _node(np.take_along_axis(data, idx, axis).squeeze(axis), (x, backward))
+
+
+def amax(x, axis: int):
+    """Maximum along an axis; ties route the gradient to the first argmax."""
+    return _extreme(x, axis, np.argmax)
+
+
+def amin(x, axis: int):
+    return _extreme(x, axis, np.argmin)
+
+
+# ---- shape manipulation ---------------------------------------------------
+
+
+def reshape(x, *shape):
+    data = _data(x)
+    return _node(data.reshape(*shape), (x, lambda g: g.reshape(data.shape)))
+
+
+def getitem(x, key):
+    data = _data(x)
+
+    def backward(g):
+        grad = np.zeros_like(data)
+        grad[key] = g
+        return grad
+
+    return _node(data[key], (x, backward))
+
+
+def concat(parts: list, axis: int = -1):
+    datas = [_data(p) for p in parts]
+    value = np.concatenate(datas, axis=axis)
+    axis %= value.ndim
+    edges = []
+    lo = 0
+    for part, data in zip(parts, datas):
+        index = (slice(None),) * axis + (slice(lo, lo + data.shape[axis]),)
+        edges.append((part, lambda g, index=index: g[index]))
+        lo += data.shape[axis]
+    return _node(value, *edges)
+
+
+def stack(parts: list, axis: int = 0):
+    value = np.stack([_data(p) for p in parts], axis=axis)
+    edges = [(part, lambda g, i=i: np.take(g, i, axis=axis)) for i, part in enumerate(parts)]
+    return _node(value, *edges)
+
+
+# Operator and method spellings of the ops on Tensor operands.
+Tensor.__add__ = Tensor.__radd__ = add
+Tensor.__neg__ = neg
+Tensor.__sub__ = sub
+Tensor.__rsub__ = lambda self, other: sub(other, self)
+Tensor.__mul__ = Tensor.__rmul__ = mul
+Tensor.__truediv__ = div
+Tensor.__rtruediv__ = lambda self, other: div(other, self)
+Tensor.__pow__ = power
+Tensor.__matmul__ = matmul
+Tensor.__rmatmul__ = lambda self, other: matmul(other, self)
+Tensor.__getitem__ = getitem
+Tensor.exp = exp
+Tensor.log = log
+Tensor.tanh = tanh
+Tensor.sigmoid = sigmoid
+Tensor.elu = elu
+Tensor.softplus = softplus
+Tensor.sum = reduce_sum
+Tensor.mean = mean
+Tensor.amax = amax
+Tensor.amin = amin
+Tensor.reshape = reshape

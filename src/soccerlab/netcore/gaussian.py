@@ -1,60 +1,29 @@
 """Diagonal Gaussian operations used by the stochastic policy heads.
 
-All functions accept Tensors or plain arrays and return Tensors; run them
-under autodiff.no_grad() and read .data when only values are needed.
 Shapes are (..., action_dim) with the action dimension reduced away.
+`entropy` is written in autodiff ops, so it returns an ndarray for an
+ndarray and a Tensor for a Tensor; `log_prob_np` works on plain arrays only.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, log
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 
-def _check_stddev(stddev: Tensor) -> None:
-    if np.any(stddev.data <= 0.0):
-        raise ValueError("stddev must be strictly positive")
-
-
-def sample(mean, stddev, noise) -> Tensor:
-    """Reparameterised draw mean + stddev * noise; noise is standard normal."""
-    mean, stddev, noise = as_tensor(mean), as_tensor(stddev), as_tensor(noise)
-    _check_stddev(stddev)
-    return mean + stddev * noise
-
-
-def log_prob(mean, stddev, value) -> Tensor:
-    """Log density of `value`, summed over the action dimension."""
-    mean, stddev, value = as_tensor(mean), as_tensor(stddev), as_tensor(value)
-    _check_stddev(stddev)
-    z = (value - mean) / stddev
-    per_dim = z * z * (-0.5) - stddev.log() - 0.5 * LOG_TWO_PI
-    return per_dim.sum(axis=-1)
-
-
-def entropy(stddev) -> Tensor:
+def entropy(stddev):
     """Closed-form entropy: sum over dims of 0.5 * log(2 pi e sigma^2)."""
-    stddev = as_tensor(stddev)
-    _check_stddev(stddev)
-    per_dim = stddev.log() + 0.5 * (LOG_TWO_PI + 1.0)
-    return per_dim.sum(axis=-1)
-
-
-def kl_divergence(mean_p, stddev_p, mean_q, stddev_q) -> Tensor:
-    """Closed-form KL(p || q) between diagonal Gaussians, summed over dims."""
-    mean_p, stddev_p = as_tensor(mean_p), as_tensor(stddev_p)
-    mean_q, stddev_q = as_tensor(mean_q), as_tensor(stddev_q)
-    _check_stddev(stddev_p)
-    _check_stddev(stddev_q)
-    var_ratio = (stddev_p / stddev_q) ** 2
-    delta = (mean_p - mean_q) / stddev_q
-    per_dim = (var_ratio + delta * delta - 1.0) * 0.5 - (stddev_p / stddev_q).log()
+    values = stddev.data if isinstance(stddev, Tensor) else stddev
+    if np.any(values <= 0.0):
+        raise ValueError("stddev must be strictly positive")
+    per_dim = log(stddev) + 0.5 * (LOG_TWO_PI + 1.0)
     return per_dim.sum(axis=-1)
 
 
 def log_prob_np(mean: np.ndarray, stddev: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Plain-array twin of log_prob for hot paths that never need gradients."""
+    """Log density of `value` summed over the action dimension, for hot
+    paths that never need gradients."""
     z = (value - mean) / stddev
     return (-0.5 * z * z - np.log(stddev) - 0.5 * LOG_TWO_PI).sum(axis=-1)

@@ -1,8 +1,9 @@
 """Network building blocks: fan-in uniform init, linear/MLP layers, an LSTM cell.
 
-Parameters live in plain dicts of float64 arrays (see params.ParamSet);
-forward passes wrap them in autodiff leaves on demand so a single code
-path serves both inference and gradient computation.
+Parameters live in plain dicts of float64 arrays (see params.ParamSet).
+The layers are written once in autodiff ops: given those arrays they run
+plain numpy, and given the leaves from wrap_leaves() they record the graph
+that backward() needs, so one code path serves inference and training.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, elu, sigmoid, tanh
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray:
@@ -26,8 +27,8 @@ def linear_params(rng: np.random.Generator, n_in: int, n_out: int, prefix: str) 
     }
 
 
-def linear(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return x @ leaves[f"{prefix}.w"] + leaves[f"{prefix}.b"]
+def linear(params: dict, prefix: str, x):
+    return x @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
 
 
 def mlp_params(rng: np.random.Generator, sizes: Sequence[int], prefix: str) -> dict[str, np.ndarray]:
@@ -38,11 +39,11 @@ def mlp_params(rng: np.random.Generator, sizes: Sequence[int], prefix: str) -> d
     return params
 
 
-def mlp_elu(leaves: dict[str, Tensor], prefix: str, x: Tensor, n_layers: int) -> Tensor:
+def mlp_elu(params: dict, prefix: str, x, n_layers: int):
     """Apply n_layers linear layers with Elu after every one of them."""
     h = x
     for i in range(n_layers):
-        h = linear(leaves, f"{prefix}.{i}", h).elu()
+        h = elu(linear(params, f"{prefix}.{i}", h))
     return h
 
 
@@ -55,22 +56,16 @@ def lstm_params(rng: np.random.Generator, n_in: int, n_hidden: int, prefix: str)
     }
 
 
-def lstm_step(
-    leaves: dict[str, Tensor],
-    prefix: str,
-    x: Tensor,
-    state: tuple[Tensor, Tensor],
-    n_hidden: int,
-) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+def lstm_step(params: dict, prefix: str, x, state: tuple, n_hidden: int) -> tuple:
     """One LSTM cell step; returns (output, (hidden, cell))."""
     h_prev, c_prev = state
-    z = x @ leaves[f"{prefix}.wx"] + h_prev @ leaves[f"{prefix}.wh"] + leaves[f"{prefix}.b"]
-    i = z[:, 0 * n_hidden : 1 * n_hidden].sigmoid()
-    f = z[:, 1 * n_hidden : 2 * n_hidden].sigmoid()
-    g = z[:, 2 * n_hidden : 3 * n_hidden].tanh()
-    o = z[:, 3 * n_hidden : 4 * n_hidden].sigmoid()
+    z = x @ params[f"{prefix}.wx"] + h_prev @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
+    i = sigmoid(z[:, 0 * n_hidden : 1 * n_hidden])
+    f = sigmoid(z[:, 1 * n_hidden : 2 * n_hidden])
+    g = tanh(z[:, 2 * n_hidden : 3 * n_hidden])
+    o = sigmoid(z[:, 3 * n_hidden : 4 * n_hidden])
     c = f * c_prev + i * g
-    h = o * c.tanh()
+    h = o * tanh(c)
     return h, (h, c)
 
 

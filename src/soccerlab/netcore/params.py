@@ -50,9 +50,6 @@ class ParamSet:
             np.copyto(self.arrays[k], v)
         self.bump_version()
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays.values())
-
     def n_scalars(self) -> int:
         return sum(a.size for a in self.arrays.values())
 

@@ -9,10 +9,12 @@ layer or an LSTM cell, selected per net.  The policy emits a diagonal
 Gaussian (stddev through softplus plus a floor); the critic appends the
 action after the encoder and emits one value per reward channel.
 
-Parameters are flat name->array ParamSets; forward passes take wrapped
-autodiff leaves so the same code serves inference and training.  The module
-also defines the agent checkpoint container: a JSON meta record plus named
-ParamSet blocks in one file.
+Parameters are flat name->array ParamSets.  `forward` is the one definition
+of each net: given the plain arrays it runs numpy and returns arrays (that is
+all `apply` does), and given autodiff leaves from `wrap_leaves` it returns
+Tensors to backpropagate through.  The module also defines the agent
+checkpoint container: a JSON meta record plus named ParamSet blocks in one
+file.
 """
 from __future__ import annotations
 
@@ -26,18 +28,19 @@ import numpy as np
 from .env import ACTION_DIM, OBS_DIM
 from .netcore import (
     ParamSet,
-    Tensor,
-    as_tensor,
+    amax,
+    amin,
     concat,
+    elu,
     linear,
     linear_params,
     lstm_params,
     lstm_step,
+    mean,
     mlp_elu,
     mlp_params,
-    no_grad,
+    softplus,
     stack,
-    wrap_leaves,
 )
 from .netcore import zero_state as _lstm_zero_state
 
@@ -94,16 +97,16 @@ def desk_arch(recurrent: bool = False) -> ArchSpec:
     return ArchSpec(embed_sizes=(24, 12), trunk_sizes=(64, 64), core_size=64, recurrent=recurrent)
 
 
-def _encode(leaves: dict[str, Tensor], obs: Tensor, n_embed_layers: int) -> Tensor:
+def _encode(params: dict, obs, n_embed_layers: int):
     """Shared-embedding joint pool; output [batch, NONPLAYER_DIM + 3*embed]."""
     nonplayer = obs[:, :NONPLAYER_DIM]
     embeds = []
     for k in range(N_OTHER_PLAYERS):
         lo = NONPLAYER_DIM + k * PLAYER_BLOCK_DIM
         block = obs[:, lo : lo + PLAYER_BLOCK_DIM]
-        embeds.append(mlp_elu(leaves, "embed", block, n_embed_layers))
+        embeds.append(mlp_elu(params, "embed", block, n_embed_layers))
     stacked = stack(embeds, axis=0)
-    pooled = concat([stacked.amax(axis=0), stacked.amin(axis=0), stacked.mean(axis=0)], axis=-1)
+    pooled = concat([amax(stacked, axis=0), amin(stacked, axis=0), mean(stacked, axis=0)], axis=-1)
     return concat([nonplayer, pooled], axis=-1)
 
 
@@ -114,20 +117,12 @@ def _core_params(rng: np.random.Generator, arch: ArchSpec) -> dict[str, np.ndarr
     return linear_params(rng, n_in, arch.core_size, "core")
 
 
-def _core_forward(
-    leaves: dict[str, Tensor],
-    arch: ArchSpec,
-    h: Tensor,
-    state: tuple[Tensor, Tensor] | None,
-) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
+def _core_forward(params: dict, arch: ArchSpec, h, state) -> tuple:
     if arch.recurrent:
         if state is None:
-            batch = h.shape[0]
-            state = tuple(Tensor(s) for s in _lstm_zero_state(batch, arch.core_size))
-        else:
-            state = (as_tensor(state[0]), as_tensor(state[1]))
-        return lstm_step(leaves, "core", h, state, arch.core_size)
-    return linear(leaves, "core", h).elu(), None
+            state = _lstm_zero_state(h.shape[0], arch.core_size)
+        return lstm_step(params, "core", h, state, arch.core_size)
+    return elu(linear(params, "core", h)), None
 
 
 class PolicyNet:
@@ -153,19 +148,14 @@ class PolicyNet:
             return _lstm_zero_state(batch, self.arch.core_size)
         return None
 
-    def forward(
-        self,
-        leaves: dict[str, Tensor],
-        obs,
-        state=None,
-    ) -> tuple[Tensor, Tensor, tuple[Tensor, Tensor] | None]:
+    def forward(self, params: dict, obs, state=None) -> tuple:
+        """(mean, stddev, new_state); Tensors where any input is a Tensor."""
         arch = self.arch
-        obs = as_tensor(obs)
-        encoded = _encode(leaves, obs, len(arch.embed_sizes))
-        h = mlp_elu(leaves, "trunk", encoded, len(arch.trunk_sizes))
-        core, new_state = _core_forward(leaves, arch, h, state)
-        mean = linear(leaves, "mean", core)
-        stddev = linear(leaves, "stddev", core).softplus() + self.stddev_floor
+        encoded = _encode(params, obs, len(arch.embed_sizes))
+        h = mlp_elu(params, "trunk", encoded, len(arch.trunk_sizes))
+        core, new_state = _core_forward(params, arch, h, state)
+        mean = linear(params, "mean", core)
+        stddev = softplus(linear(params, "stddev", core)) + self.stddev_floor
         return mean, stddev, new_state
 
     def apply(
@@ -175,11 +165,7 @@ class PolicyNet:
         state=None,
     ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         """Inference path: plain arrays in, plain arrays out, no graph kept."""
-        with no_grad():
-            mean, stddev, new_state = self.forward(wrap_leaves(params.arrays), obs, state)
-        if new_state is not None:
-            new_state = (new_state[0].data, new_state[1].data)
-        return mean.data, stddev.data, new_state
+        return self.forward(params.arrays, obs, state)
 
 
 class CriticNet:
@@ -205,20 +191,13 @@ class CriticNet:
             return _lstm_zero_state(batch, self.arch.core_size)
         return None
 
-    def forward(
-        self,
-        leaves: dict[str, Tensor],
-        obs,
-        action,
-        state=None,
-    ) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
+    def forward(self, params: dict, obs, action, state=None) -> tuple:
+        """(q, new_state); Tensors where any input is a Tensor."""
         arch = self.arch
-        obs = as_tensor(obs)
-        action = as_tensor(action)
-        encoded = _encode(leaves, obs, len(arch.embed_sizes))
-        h = mlp_elu(leaves, "trunk", concat([encoded, action], axis=-1), len(arch.trunk_sizes))
-        core, new_state = _core_forward(leaves, arch, h, state)
-        return linear(leaves, "q", core), new_state
+        encoded = _encode(params, obs, len(arch.embed_sizes))
+        h = mlp_elu(params, "trunk", concat([encoded, action], axis=-1), len(arch.trunk_sizes))
+        core, new_state = _core_forward(params, arch, h, state)
+        return linear(params, "q", core), new_state
 
     def apply(
         self,
@@ -227,11 +206,7 @@ class CriticNet:
         action: np.ndarray,
         state=None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-        with no_grad():
-            q, new_state = self.forward(wrap_leaves(params.arrays), obs, action, state)
-        if new_state is not None:
-            new_state = (new_state[0].data, new_state[1].data)
-        return q.data, new_state
+        return self.forward(params.arrays, obs, action, state)
 
 
 # Checkpoint container: magic, u64 format version, canonical JSON meta, then

@@ -123,8 +123,8 @@ def play_match(
     states = [state.copy()] if keep_states else None
 
     steps = 0
+    obs = observe(state)
     while not state.terminal and steps < limit:
-        obs = observe(state)
         noise = rng.standard_normal((N_PLAYERS, ACTION_DIM))
         actions = np.empty((N_PLAYERS, ACTION_DIM))
         for i, actor in enumerate(actors):
@@ -148,6 +148,7 @@ def play_match(
                 act_log[i].append(actions[i].copy())
         out = step(config, state, actions)
         state = out.state
+        obs = out.observations
         events.append(out.events)
         if collect:
             for i in range(N_PLAYERS):
@@ -158,7 +159,6 @@ def play_match(
 
     trajectories = None
     if collect and steps > 0:
-        final_obs = observe(state)
         trajectories = [
             PlayerTrajectory(
                 observations=np.array(obs_log[i]),
@@ -166,7 +166,7 @@ def play_match(
                 rewards=np.array(rew_log[i]),
                 behavior_mean=np.array(mean_log[i]),
                 behavior_stddev=np.array(std_log[i]),
-                final_observation=final_obs[i],
+                final_observation=obs[i],
                 terminal=bool(state.terminal),
                 policy_states=pstate_log[i] if pstate_log[i] else None,
                 critic_states=cstate_log[i] if cstate_log[i] else None,

@@ -204,6 +204,10 @@ def test_gaussian_kl_identity_and_positivity():
         std_p, std_q = np.exp(rng.normal(size=3)), np.exp(rng.normal(size=3))
         assert gaussian_kl(mean_p, std_p, mean_p, std_p) == 0.0
         assert gaussian_kl(mean_p, std_p, mean_q, std_q) >= 0.0
+    # Not symmetric: both directions are positive and they differ.
+    forward = gaussian_kl([0.0], [0.5], [1.0], [1.5])
+    reverse = gaussian_kl([1.0], [1.5], [0.0], [0.5])
+    assert forward > 0.0 and reverse > 0.0 and abs(forward - reverse) > 1e-6
 
 
 def test_counterfactual_identity_replacement_is_exactly_zero():

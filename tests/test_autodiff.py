@@ -1,10 +1,12 @@
 """Gradient soundness of the tensor core against central finite differences."""
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soccerlab.netcore import Tensor, concat, no_grad, stack
+from soccerlab.netcore import Tensor, autodiff, concat, stack
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -128,11 +130,72 @@ def test_matmul_shape_mismatch_rejected():
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 2)))
 
 
-def test_no_grad_builds_no_graph():
-    with no_grad():
-        out = Tensor(np.ones(3)) * 2.0
-    assert out._parents == ()
-    assert out._backward is None
+PLAIN_OPS = [
+    ("add", lambda x: autodiff.add(x, 1.5)),
+    ("sub", lambda x: autodiff.sub(x, x)),
+    ("mul", lambda x: autodiff.mul(x, x)),
+    ("div", lambda x: autodiff.div(1.0, x * x + 1.0)),
+    ("power", lambda x: autodiff.power(x, 2)),
+    ("matmul", lambda x: autodiff.matmul(x, np.linspace(-1.0, 1.0, 10).reshape(5, 2))),
+    ("exp", autodiff.exp),
+    ("log", lambda x: autodiff.log(x * x + 0.5)),
+    ("tanh", autodiff.tanh),
+    ("sigmoid", autodiff.sigmoid),
+    ("elu", autodiff.elu),
+    ("softplus", autodiff.softplus),
+    ("sum", lambda x: autodiff.reduce_sum(x, axis=1)),
+    ("mean", lambda x: autodiff.mean(x, axis=0)),
+    ("amax", lambda x: autodiff.amax(x, axis=1)),
+    ("amin", lambda x: autodiff.amin(x, axis=1)),
+    ("reshape", lambda x: autodiff.reshape(x, -1)),
+    ("getitem", lambda x: autodiff.getitem(x, (slice(None), slice(1, 3)))),
+    ("concat", lambda x: concat([x, x], axis=1)),
+    ("stack", lambda x: stack([x, x], axis=0)),
+]
+
+
+@pytest.mark.parametrize("name,op", PLAIN_OPS, ids=[c[0] for c in PLAIN_OPS])
+def test_ops_on_ndarrays_return_ndarrays_and_build_no_graph(name, op, monkeypatch):
+    built = []
+    original = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    x = np.random.default_rng(1).normal(size=(4, 5))
+    out = op(x)
+    assert type(out) is np.ndarray
+    assert built == []
+    # The same op on a leaf records a graph with the same value.
+    wrapped = op(Tensor(x))
+    assert isinstance(wrapped, Tensor)
+    assert wrapped.data.tobytes() == out.tobytes()
+
+
+def test_ndarray_on_the_left_defers_to_the_tensor():
+    x = np.arange(6.0).reshape(2, 3)
+    w = Tensor(np.ones((3, 2)))
+    out = x @ w + x[:, :2] * w[:2]
+    assert isinstance(out, Tensor)
+    out.sum().backward()
+    # column sums of x from the product, plus x itself where w[:2] is used
+    np.testing.assert_array_equal(w.grad, np.array([[3.0, 4.0], [8.0, 9.0], [7.0, 7.0]]))
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        x = Tensor(np.array([0.5, -1.0, 2.0]))
+        w = Tensor(np.array([1.5, 0.25, -0.5]))
+        loss = ((x * w).tanh() + 1.0).sum()
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_forward_determinism_bitwise():

@@ -16,7 +16,7 @@ from soccerlab.learner import (
     stack_snippets,
 )
 from soccerlab.nets import ArchSpec, CriticNet, PolicyNet
-from soccerlab.netcore import ParamSet, gaussian, wrap_leaves
+from soccerlab.netcore import ParamSet, Tensor, gaussian, wrap_leaves
 
 from tests.test_autodiff import finite_difference
 
@@ -379,6 +379,26 @@ def test_policy_gradient_matches_finite_differences(recurrent):
         np.testing.assert_allclose(leaves[name].grad, fd, rtol=1e-4, atol=1e-6, err_msg=name)
 
 
+@pytest.mark.parametrize("recurrent", [False, True], ids=["ff", "lstm"])
+def test_policy_update_holds_the_critic_constant(recurrent, monkeypatch):
+    # The critic's weights enter the policy loss as plain arrays, so no
+    # graph node (and no gradient) is built over them.
+    learner = make_learner(recurrent_policy=recurrent, recurrent_critic=recurrent, seed=24)
+    batch = frozen_batch(learner, np.random.default_rng(25), recurrent=recurrent)
+    built = []
+    original = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    metrics = learner.policy_update(batch)
+    assert not metrics["policy_skipped"] and built
+    critic_arrays = list(learner.critic.arrays.values())
+    assert not any(t.data is arr for t in built for arr in critic_arrays)
+
+
 def test_policy_update_is_noop_without_value_or_entropy_signal():
     hp = AgentHyperparams(
         entropy_cost=0.0,
@@ -434,8 +454,7 @@ class _QuadraticCritic:
         return (diff * diff).sum(axis=-1, keepdims=True) * (-1.0), None
 
     def apply(self, params, obs, action, state=None):
-        q, _ = self.forward(None, obs, np.asarray(action))
-        return q.data, None
+        return self.forward(None, obs, np.asarray(action))
 
 
 def test_policy_mean_converges_to_quadratic_optimum():

@@ -13,7 +13,6 @@ from soccerlab.netcore import (
     lstm_step,
     mlp_elu,
     mlp_params,
-    no_grad,
     uniform_init,
     wrap_leaves,
     zero_state,
@@ -128,25 +127,14 @@ def test_uniform_init_respects_fan_in_bound():
 # ---- Gaussian head ----------------------------------------------------
 
 
-def test_sample_at_zero_noise_is_mean():
-    mean = np.array([[0.3, -1.2, 4.0]])
-    std = np.array([[0.5, 0.5, 2.0]])
-    with no_grad():
-        out = gaussian.sample(mean, std, np.zeros_like(mean))
-    np.testing.assert_array_equal(out.data, mean)
-
-
 def test_log_prob_matches_hand_formula():
     rng = np.random.default_rng(3)
     mean = rng.normal(size=(8, 3))
     std = rng.uniform(0.2, 2.0, size=(8, 3))
     value = rng.normal(size=(8, 3))
-    with no_grad():
-        got = gaussian.log_prob(mean, std, value).data
     expect = (
         -0.5 * ((value - mean) / std) ** 2 - np.log(std) - 0.5 * np.log(2 * np.pi)
     ).sum(axis=-1)
-    np.testing.assert_allclose(got, expect, atol=1e-12)
     np.testing.assert_allclose(gaussian.log_prob_np(mean, std, value), expect, atol=1e-12)
 
 
@@ -154,8 +142,7 @@ def test_entropy_closed_form_and_monte_carlo():
     rng = np.random.default_rng(4)
     mean = np.array([[0.0, 1.0]])
     std = np.array([[0.7, 1.3]])
-    with no_grad():
-        h = float(gaussian.entropy(std).data[0])
+    h = float(gaussian.entropy(std)[0])
     expect = float(np.sum(0.5 * np.log(2 * np.pi * np.e * std**2)))
     assert abs(h - expect) < 1e-12
     draws = mean + std * rng.normal(size=(200_000, 2))
@@ -163,46 +150,18 @@ def test_entropy_closed_form_and_monte_carlo():
     assert abs(mc - h) / h < 0.01
 
 
-def test_kl_zero_for_identical_distributions():
-    mean = np.array([[0.5, -2.0, 0.0]])
-    std = np.array([[1.0, 0.3, 2.0]])
-    with no_grad():
-        kl = float(gaussian.kl_divergence(mean, std, mean, std).data[0])
-    assert abs(kl) < 1e-14
-
-
-def test_kl_matches_monte_carlo_within_one_percent():
-    rng = np.random.default_rng(5)
-    mp, sp = np.array([[0.2, -0.5]]), np.array([[0.8, 1.4]])
-    mq, sq = np.array([[-0.3, 0.6]]), np.array([[1.1, 0.9]])
-    with no_grad():
-        closed = float(gaussian.kl_divergence(mp, sp, mq, sq).data[0])
-    draws = mp + sp * rng.normal(size=(100_000, 2))
-    mc = (gaussian.log_prob_np(mp, sp, draws) - gaussian.log_prob_np(mq, sq, draws)).mean()
-    assert abs(mc - closed) / abs(closed) < 0.01
-
-
-def test_kl_asymmetry_both_directions_positive():
-    mp, sp = np.array([[0.0]]), np.array([[0.5]])
-    mq, sq = np.array([[1.0]]), np.array([[1.5]])
-    with no_grad():
-        forward = float(gaussian.kl_divergence(mp, sp, mq, sq).data[0])
-        reverse = float(gaussian.kl_divergence(mq, sq, mp, sp).data[0])
-    assert forward > 0 and reverse > 0 and abs(forward - reverse) > 1e-6
-
-
 def test_gaussian_ops_reject_nonpositive_stddev():
     with pytest.raises(ValueError):
         gaussian.entropy(np.array([[0.0]]))
     with pytest.raises(ValueError):
-        gaussian.log_prob(np.zeros((1, 1)), np.array([[-1.0]]), np.zeros((1, 1)))
+        gaussian.entropy(Tensor(np.array([[-1.0]])))
 
 
 def test_reparameterised_sample_gradient_flows_to_mean_and_std():
     mean = Tensor(np.array([[0.1, 0.2]]))
     std = Tensor(np.array([[0.5, 0.6]]))
     noise = np.array([[1.5, -0.5]])
-    gaussian.sample(mean, std, noise).sum().backward()
+    (mean + std * noise).sum().backward()
     np.testing.assert_allclose(mean.grad, np.ones((1, 2)), atol=1e-12)
     np.testing.assert_allclose(std.grad, noise, atol=1e-12)
 

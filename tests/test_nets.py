@@ -142,6 +142,49 @@ def test_recurrent_state_carries_information():
     assert state[0].shape == (2, ARCH_LSTM.core_size)
 
 
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("arch", [ARCH, ARCH_LSTM], ids=["ff", "lstm"])
+def test_apply_equals_forward_on_leaves_bit_for_bit(arch, batch, monkeypatch):
+    rng = np.random.default_rng(30 + batch)
+    policy = PolicyNet(arch)
+    critic = CriticNet(arch, n_heads=4)
+    p_params = policy.init_params(rng)
+    c_params = critic.init_params(rng)
+    obs = random_obs(rng, batch)
+    action = rng.normal(size=(batch, ACTION_DIM))
+    p_state, c_state = policy.zero_state(batch), critic.zero_state(batch)
+    if arch.recurrent:
+        # Carry one step so the state going in is not zero.
+        _, _, p_state = policy.apply(p_params, obs, p_state)
+        _, c_state = critic.apply(c_params, obs, action, c_state)
+
+    built = []
+    original = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    p_got = policy.apply(p_params, obs, p_state)
+    c_got = critic.apply(c_params, obs, action, c_state)
+    assert built == []
+
+    *p_out, p_new = policy.forward(wrap_leaves(p_params.arrays), Tensor(obs), p_state)
+    q, c_new = critic.forward(wrap_leaves(c_params.arrays), Tensor(obs), Tensor(action), c_state)
+    expected = [*p_out, q]
+    got = [p_got[0], p_got[1], c_got[0]]
+    if arch.recurrent:
+        expected += [*p_new, *c_new]
+        got += [*p_got[2], *c_got[1]]
+    else:
+        assert p_got[2] is None and c_got[1] is None
+    for value, tensor in zip(got, expected, strict=True):
+        assert type(value) is np.ndarray and isinstance(tensor, Tensor)
+        assert value.shape == tensor.data.shape
+        assert value.tobytes() == tensor.data.tobytes()
+
+
 def test_critic_action_gradient_matches_finite_differences():
     critic = CriticNet(ARCH, n_heads=4)
     params = critic.init_params(np.random.default_rng(14))
