@@ -28,6 +28,7 @@ from .env import (
     trace,
 )
 from .rollout import MatchActor, MatchResult, play_match
+from .seeding import derive_seed
 
 PASS_DISTANCE = 10.0   # ball travel for the long-pass variants
 SPREAD_DISTANCE = 5.0  # teammates at least this far apart count as spread out
@@ -297,7 +298,27 @@ def counterfactual_divergence(
     true history into the counterfactual branch. `reverse` swaps the KL
     direction.
     """
-    entity = _entity_index(subset, player)
+    return _divergences(policy_net, policy, result, player, (subset,), num_alternatives, seed, reverse)[subset]
+
+
+def counterfactual_profile(
+    policy_net,
+    policy,
+    result: MatchResult,
+    player: int,
+    num_alternatives: int = 10,
+    seed: int = 0,
+    reverse: bool = False,
+) -> dict[str, float]:
+    """Divergence per observation subset, every subset on the same draws."""
+    return _divergences(policy_net, policy, result, player, SUBSETS, num_alternatives, seed, reverse)
+
+
+def _divergences(policy_net, policy, result, player, subsets, num_alternatives, seed, reverse) -> dict[str, float]:
+    """`counterfactual_divergence` for each of `subsets` in one pass over the
+    trace: each step observes the true state and runs the policy on it once,
+    and every subset replaces its entity with the same draws."""
+    entities = {subset: _entity_index(subset, player) for subset in subsets}
     if policy_net.zero_state(1) is not None:
         raise ValueError("counterfactual divergence is only defined for feedforward policies")
     if not 0 <= player < N_PLAYERS:
@@ -310,52 +331,32 @@ def counterfactual_divergence(
         raise ValueError("trace has no per-step states; record with keep_states")
 
     rng = np.random.default_rng([int(seed), N_PLAYERS * len(SUBSETS)])
-    total = 0.0
+    totals = dict.fromkeys(subsets, 0.0)
     for state in result.states[: result.steps]:
         half = np.array([state.pitch_length / 2.0, state.pitch_width / 2.0])
         true_mean, true_std, _ = policy_net.apply(policy, observe(state, player)[None, :], None)
-        # One forward pass per alternative, same batch shape as the true pass:
-        # identical call shapes keep float reduction order identical, so a
-        # policy that is functionally independent of the subset reports a
-        # divergence of exactly zero.
-        alt_means, alt_stds = [], []
-        for _ in range(num_alternatives):
-            alt = _replaced_observation(state, player, entity, rng.uniform(-half, half))
-            m, s, _ = policy_net.apply(policy, alt[None, :], None)
-            alt_means.append(m[0])
-            alt_stds.append(s[0])
-        alt_mean, alt_std = np.stack(alt_means), np.stack(alt_stds)
-        if reverse:
-            kl = gaussian_kl(alt_mean, alt_std, true_mean, true_std)
-        else:
-            kl = gaussian_kl(true_mean, true_std, alt_mean, alt_std)
-        total += float(np.sum(kl))
-    return total / (result.steps * num_alternatives)
-
-
-def counterfactual_profile(
-    policy_net,
-    policy,
-    result: MatchResult,
-    player: int,
-    num_alternatives: int = 10,
-    seed: int = 0,
-    reverse: bool = False,
-) -> dict[str, float]:
-    """Divergence per observation subset, shared draws configuration."""
-    return {
-        subset: counterfactual_divergence(
-            policy_net, policy, result, player, subset, num_alternatives, seed, reverse
-        )
-        for subset in SUBSETS
-    }
+        draws = [rng.uniform(-half, half) for _ in range(num_alternatives)]
+        for subset, entity in entities.items():
+            # One forward pass per alternative, same batch shape as the true
+            # pass: identical call shapes keep float reduction order
+            # identical, so a policy that is functionally independent of the
+            # subset reports a divergence of exactly zero.
+            alt_means, alt_stds = [], []
+            for pos in draws:
+                alt = _replaced_observation(state, player, entity, pos)
+                m, s, _ = policy_net.apply(policy, alt[None, :], None)
+                alt_means.append(m[0])
+                alt_stds.append(s[0])
+            alt_mean, alt_std = np.stack(alt_means), np.stack(alt_stds)
+            if reverse:
+                kl = gaussian_kl(alt_mean, alt_std, true_mean, true_std)
+            else:
+                kl = gaussian_kl(true_mean, true_std, alt_mean, alt_std)
+            totals[subset] += float(np.sum(kl))
+    return {subset: total / (result.steps * num_alternatives) for subset, total in totals.items()}
 
 
 # ---- probe scenario ----------------------------------------------------------
-
-
-def _probe_seed(seed: int, episode: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(episode)]).generate_state(1, np.uint64)[0])
 
 
 def run_probe(
@@ -383,7 +384,7 @@ def run_probe(
 
     passes = interceptions = 0
     for ep in range(episodes):
-        ep_seed = _probe_seed(seed, ep)
+        ep_seed = derive_seed(seed, ep)
         state = probe_reset(env_config, side, seed=ep_seed)
         result = play_match(
             env_config, actors, ep_seed, collect=False, max_steps=horizon, initial_state=state

@@ -21,8 +21,6 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytics import (
     SUBSETS,
@@ -47,6 +45,7 @@ from .learner import Learner
 from .pbt import PopulationAgent, Trainer
 from .rollout import MatchActor, play_match
 from .runconfig import RunConfig, build_population, load_run_config
+from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,6 +85,18 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(_dump(obj), encoding="utf-8")
 
 
+def _report(out: str | None, report: dict) -> None:
+    """Write `report` to the `--out` file and print its path, or print the
+    report itself when `--out` is omitted."""
+    if out:
+        path = _resolve_out(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(path, report)
+        print(path)
+    else:
+        sys.stdout.write(_dump(report))
+
+
 def _read_json(path: Path, what: str) -> dict:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -111,7 +122,7 @@ def _restore_population(config: RunConfig, run_dir: Path) -> list[PopulationAgen
     for k in range(config.pbt.population_size):
         agent_id = f"agent{k:02d}"
         path = run_dir / "checkpoints" / f"{agent_id}.ckpt"
-        seed = int(np.random.SeedSequence([config.seed, k, 1]).generate_state(1, np.uint64)[0])
+        seed = derive_seed(config.seed, k, 1)
         try:
             learner, meta = Learner.load(path, seed=seed)
         except (OSError, ValueError, KeyError) as exc:
@@ -231,13 +242,7 @@ def cmd_nash(args) -> int:
         "exploitability": float(result.exploitability),
         "entropy": float(result.entropy),
     }
-    if args.out:
-        out = _resolve_out(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(out, report)
-        print(out)
-    else:
-        sys.stdout.write(_dump(report))
+    _report(args.out, report)
     return EXIT_OK
 
 
@@ -260,13 +265,7 @@ def cmd_probe(args) -> int:
         "passes": passes,
         "interceptions": interceptions,
     }
-    if args.out:
-        out = _resolve_out(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(out, report)
-        print(out)
-    else:
-        sys.stdout.write(_dump(report))
+    _report(args.out, report)
     return EXIT_OK
 
 
@@ -306,13 +305,7 @@ def cmd_analyze(args) -> int:
         "player": args.player,
         "subsets": list(SUBSETS),
     }
-    if args.out:
-        out = _resolve_out(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(out, report)
-        print(out)
-    else:
-        sys.stdout.write(_dump(report))
+    _report(args.out, report)
     return EXIT_OK
 
 
@@ -335,7 +328,7 @@ def cmd_export_traces(args) -> int:
         MatchActor(policy_net=red.policy_net, policy=red.policy),
     ]
     for m in range(args.matches):
-        seed = int(np.random.SeedSequence([args.seed, m]).generate_state(1, np.uint64)[0])
+        seed = derive_seed(args.seed, m)
         result = play_match(
             env_config, actors, seed, collect=True, keep_states=True, max_steps=args.max_steps
         )

@@ -25,6 +25,7 @@ from .env import EnvConfig
 from .netcore import ParamSet
 from .nets import ArchSpec, PolicyNet, load_checkpoint
 from .rollout import MatchActor, play_match
+from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,6 @@ class PayoffMatrix:
         )
 
 
-def _match_seed(*words: int) -> int:
-    # Content-addressed seed: independent of scheduling or worker count.
-    return int(np.random.SeedSequence([int(w) for w in words]).generate_state(1, np.uint64)[0])
-
-
 def _play_spec(spec) -> tuple[int, int]:
     env_config, net_a, params_a, net_b, params_b, seed, max_steps = spec
     actors = [
@@ -158,7 +154,7 @@ def run_tournament(
                     entrants[i].policy,
                     entrants[j].policy_net,
                     entrants[j].policy,
-                    _match_seed(seed, i, j, m),
+                    derive_seed(seed, i, j, m),
                     max_steps,
                 )
             )
@@ -223,7 +219,7 @@ def weighted_goal_difference(
                     entrant.policy,
                     evaluator.policy_net,
                     evaluator.policy,
-                    _match_seed(seed, k, m),
+                    derive_seed(seed, k, m),
                     max_steps,
                 )
             )

@@ -328,45 +328,43 @@ def _stack_states(states: list) -> tuple[np.ndarray, np.ndarray] | None:
     )
 
 
-def _policy_seq(net: PolicyNet, params: dict, obs_seq: np.ndarray, state0) -> tuple:
-    """Policy means/stddevs over a [B, T, obs] sequence as [B, T, act]
-    arrays, or Tensors when `params` are autodiff leaves."""
-    batch, horizon = obs_seq.shape[:2]
+def _unroll(net, params: dict, seqs: tuple, state0) -> tuple[tuple, list | None]:
+    """Run `net` over its [B, T, ...] input sequences `seqs`.
+
+    Returns the outputs stacked to [B, T, ...] (arrays, or Tensors when
+    `params` are autodiff leaves) and, for a recurrent net, the T+1 states
+    before each step: index t primes a query at x_t, the last one a query
+    at the observation after the sequence.  A feedforward net has no state
+    and runs as one flat call.
+    """
+    batch, horizon = seqs[0].shape[:2]
     if not net.arch.recurrent:
-        mean, stddev, _ = net.forward(params, obs_seq.reshape(batch * horizon, -1))
-        return mean.reshape(batch, horizon, ACTION_DIM), stddev.reshape(batch, horizon, ACTION_DIM)
+        *outs, _ = net.forward(params, *(x.reshape(batch * horizon, -1) for x in seqs))
+        return tuple(out.reshape(batch, horizon, -1) for out in outs), None
     state = state0 if state0 is not None else net.zero_state(batch)
-    means, stddevs = [], []
+    states, steps = [state], []
     for t in range(horizon):
-        mean, stddev, state = net.forward(params, obs_seq[:, t], state)
-        means.append(mean)
-        stddevs.append(stddev)
-    return stack(means, axis=1), stack(stddevs, axis=1)
+        *outs, state = net.forward(params, *(x[:, t] for x in seqs), state)
+        steps.append(outs)
+        states.append(state)
+    return tuple(stack(outs, axis=1) for outs in zip(*steps)), states
 
 
-def _critic_seq(
-    net: CriticNet,
-    params: dict,
-    obs_seq: np.ndarray,
-    act_seq,
-    state0,
-) -> tuple:
-    """Critic values over a sequence; for recurrent critics also the state
-    *before* each step (index t is the priming state for a query at x_t)."""
-    batch, horizon = obs_seq.shape[:2]
-    if not net.arch.recurrent:
-        flat_act = act_seq.reshape(batch * horizon, ACTION_DIM)
-        q, _ = net.forward(params, obs_seq.reshape(batch * horizon, -1), flat_act)
-        return q.reshape(batch, horizon, net.n_heads), None
-    state = state0 if state0 is not None else net.zero_state(batch)
-    pre_states = []
-    qs = []
-    for t in range(horizon):
-        pre_states.append(state)
-        q, state = net.forward(params, obs_seq[:, t], act_seq[:, t], state)
-        qs.append(q)
-    pre_states.append(state)  # state before a query at the final observation
-    return stack(qs, axis=1), pre_states
+def _rows(x: np.ndarray, samples: int) -> np.ndarray:
+    """[B, T, D] repeated along a leading sample axis, as [S*B*T, D] rows."""
+    return np.broadcast_to(x, (samples, *x.shape)).reshape(-1, x.shape[-1])
+
+
+def _critic_at(net: CriticNet, params: dict, obs_seq: np.ndarray, actions, query_states: list | None):
+    """Critic values at `actions` [S, B, T, act] taken at the observations
+    `obs_seq` [B, T, obs], as [S, B, T, heads], in one forward call.  A
+    recurrent critic is primed at step t by `query_states[t]`, held constant."""
+    samples = actions.shape[0]
+    state = None
+    if query_states is not None:
+        state = tuple(_rows(np.stack(part, axis=1), samples) for part in zip(*query_states))
+    q, _ = net.forward(params, _rows(obs_seq, samples), actions.reshape(-1, ACTION_DIM), state)
+    return q.reshape(*actions.shape[:3], -1)
 
 
 class Learner:
@@ -427,10 +425,9 @@ class Learner:
     def retrace_targets(self, batch: _Batch) -> tuple[np.ndarray, dict]:
         """Per-step per-channel targets from the target networks, with
         truncated importance ratios computed under the online policy."""
-        cfg = self.config
-        n_samples = cfg.expectation_samples
-        B, T = batch.batch, batch.horizon
-        mean_on, stddev_on = _policy_seq(self.policy_net, self.policy.arrays, batch.observations, batch.policy_state0)
+        (mean_on, stddev_on), _ = _unroll(
+            self.policy_net, self.policy.arrays, (batch.observations,), batch.policy_state0
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
             log_pi = gaussian.log_prob_np(mean_on, stddev_on, batch.actions)
             log_beta = gaussian.log_prob_np(batch.behavior_mean, batch.behavior_stddev, batch.actions)
@@ -444,33 +441,17 @@ class Learner:
         # Distributions of the target policy at x_1 .. x_T, with correct
         # recurrent state: one unroll over the extended sequence.
         extended = np.concatenate([batch.observations, batch.final_observation[:, None]], axis=1)
-        mean_tp, stddev_tp = _policy_seq(self.policy_net, self.policy_target.arrays, extended, batch.policy_state0)
-        next_mean = mean_tp[:, 1:]
-        next_stddev = stddev_tp[:, 1:]
-
+        (mean_tp, stddev_tp), _ = _unroll(self.policy_net, self.policy_target.arrays, (extended,), batch.policy_state0)
         critic = self.critic_target.arrays
-        q_behavior, pre_states = _critic_seq(
-            self.critic_net, critic, batch.observations, batch.actions, batch.critic_state0
+        (q_behavior,), states = _unroll(
+            self.critic_net, critic, (batch.observations, batch.actions), batch.critic_state0
         )
-
-        noise = self.rng.standard_normal((n_samples, B, T, ACTION_DIM))
-        sampled = next_mean[None] + next_stddev[None] * noise
-        next_obs = extended[:, 1:]
-        if not self.critic_net.arch.recurrent:
-            flat_obs = np.broadcast_to(next_obs[None], (n_samples, B, T, OBS_DIM)).reshape(-1, OBS_DIM)
-            q_next, _ = self.critic_net.forward(critic, flat_obs, sampled.reshape(-1, ACTION_DIM))
-            q_next = q_next.reshape(n_samples, B, T, -1)
-        else:
-            # Query states come from the behavior unroll: the state before
-            # consuming x_{t+1} primes the sampled-action evaluation there.
-            q_next = np.empty((n_samples, B, T, self.critic_net.n_heads))
-            for t in range(T):
-                h, c = pre_states[t + 1]
-                state = (np.repeat(h, n_samples, axis=0), np.repeat(c, n_samples, axis=0))
-                obs_rep = np.repeat(next_obs[:, t], n_samples, axis=0)
-                act_rep = sampled[:, :, t].transpose(1, 0, 2).reshape(-1, ACTION_DIM)
-                q_t, _ = self.critic_net.forward(critic, obs_rep, act_rep, state)
-                q_next[:, :, t] = q_t.reshape(B, n_samples, -1).transpose(1, 0, 2)
+        noise = self.rng.standard_normal((self.config.expectation_samples, batch.batch, batch.horizon, ACTION_DIM))
+        sampled = mean_tp[:, 1:] + stddev_tp[:, 1:] * noise
+        # The behavior unroll's state before consuming x_{t+1} primes the
+        # sampled-action query there.
+        query_states = None if states is None else states[1:]
+        q_next = _critic_at(self.critic_net, critic, extended[:, 1:], sampled, query_states)
         next_expected_q = q_next.mean(axis=0)
         next_expected_q[batch.terminal, -1] = 0.0
 
@@ -486,81 +467,60 @@ class Learner:
 
     # -- updates ------------------------------------------------------------
 
+    def _descend(self, params: ParamSet, adam: AdamState, lr: float, loss_of, skipped_key: str) -> dict:
+        """One Adam step on `params` down the scalar Tensor that
+        `loss_of(leaves)` returns with its metrics; a non-finite loss or
+        gradient skips the step, and `skipped_key` records whether it did."""
+        leaves = wrap_leaves(params.arrays)
+        loss, metrics = loss_of(leaves)
+        metrics[skipped_key] = True
+        if np.isfinite(loss.data):
+            loss.backward()
+            metrics[skipped_key] = not adam_step(params, collect_grads(leaves), adam, lr)
+        return metrics
+
     def critic_loss(self, leaves: dict, batch: _Batch, targets: np.ndarray) -> Tensor:
         """Mean over batch and time of the squared error, summed over channels."""
-        q_pred, _ = _critic_seq(self.critic_net, leaves, batch.observations, batch.actions, batch.critic_state0)
+        (q_pred,), _ = _unroll(self.critic_net, leaves, (batch.observations, batch.actions), batch.critic_state0)
         err = q_pred - targets
         return (err * err).sum(axis=2).mean()
 
     def critic_update(self, batch: _Batch, targets: np.ndarray) -> dict:
-        leaves = wrap_leaves(self.critic.arrays)
-        loss = self.critic_loss(leaves, batch, targets)
-        metrics = {"critic_loss": float(loss.data), "critic_skipped": False}
-        if not np.isfinite(loss.data):
-            metrics["critic_skipped"] = True
-            return metrics
-        loss.backward()
-        accepted = adam_step(self.critic, collect_grads(leaves), self.critic_adam, self.hyperparams.critic_lr)
-        metrics["critic_skipped"] = not accepted
-        return metrics
+        def loss_of(leaves):
+            loss = self.critic_loss(leaves, batch, targets)
+            return loss, {"critic_loss": float(loss.data)}
+
+        return self._descend(self.critic, self.critic_adam, self.hyperparams.critic_lr, loss_of, "critic_skipped")
 
     def policy_loss(self, leaves: dict, critic: dict, batch: _Batch, noise: np.ndarray) -> tuple[Tensor, dict]:
         """Negated surrogate: combined critic value at reparameterized actions
         plus the entropy bonus; `noise` is [samples, B, T, act].  `critic`
         is this learner's critic: its plain arrays, which hold it constant,
         or leaves wrapped around them, which also collect its gradients."""
-        cfg = self.config
-        B, T = batch.batch, batch.horizon
-        mean, stddev = _policy_seq(self.policy_net, leaves, batch.observations, batch.policy_state0)
+        (mean, stddev), _ = _unroll(self.policy_net, leaves, (batch.observations,), batch.policy_state0)
         entropy = gaussian.entropy(stddev).mean()
-
+        query_states = None
         if self.critic_net.arch.recurrent:
             # Query states replay the behavior unroll and are held constant.
-            _, pre_states = _critic_seq(
-                self.critic_net, self.critic.arrays, batch.observations, batch.actions, batch.critic_state0
+            _, states = _unroll(
+                self.critic_net, self.critic.arrays, (batch.observations, batch.actions), batch.critic_state0
             )
-            query_state = (
-                np.concatenate([pre_states[t][0] for t in range(T)], axis=0),
-                np.concatenate([pre_states[t][1] for t in range(T)], axis=0),
-            )
-            flat_obs = batch.observations.transpose(1, 0, 2).reshape(T * B, OBS_DIM)
-            reorder = True
-        else:
-            query_state = None
-            flat_obs = batch.observations.reshape(B * T, OBS_DIM)
-            reorder = False
-
-        weights = self._policy_weights()
-        value_sum = None
-        for i in range(cfg.policy_samples):
-            action = mean + stddev * noise[i]
-            if reorder:
-                # Match the [t-major] layout of the stacked query states.
-                flat_action = _transpose_bt(action, B, T)
-            else:
-                flat_action = action.reshape(B * T, ACTION_DIM)
-            q, _ = self.critic_net.forward(critic, flat_obs, flat_action, query_state)
-            combined = (q * weights).sum(axis=-1)
-            value_sum = combined if value_sum is None else value_sum + combined
-        value = value_sum.mean() * (1.0 / cfg.policy_samples)
-
+            query_states = states[:-1]
+        q = _critic_at(self.critic_net, critic, batch.observations, mean + stddev * noise, query_states)
+        value = (q * self._policy_weights()).sum(axis=-1).mean()
         objective = value + self.hyperparams.entropy_cost * entropy
         info = {"policy_value": float(value.data), "entropy": float(entropy.data)}
         return -objective, info
 
     def policy_update(self, batch: _Batch) -> dict:
-        cfg = self.config
-        leaves = wrap_leaves(self.policy.arrays)
-        noise = self.rng.standard_normal((cfg.policy_samples, batch.batch, batch.horizon, ACTION_DIM))
-        loss, metrics = self.policy_loss(leaves, self.critic.arrays, batch, noise)
-        metrics["policy_skipped"] = False
-        if not np.isfinite(loss.data):
-            metrics["policy_skipped"] = True
-            return metrics
-        loss.backward()
-        accepted = adam_step(self.policy, collect_grads(leaves), self.policy_adam, self.hyperparams.actor_lr)
-        metrics["policy_skipped"] = not accepted
-        return metrics
+        noise = self.rng.standard_normal((self.config.policy_samples, batch.batch, batch.horizon, ACTION_DIM))
+        return self._descend(
+            self.policy,
+            self.policy_adam,
+            self.hyperparams.actor_lr,
+            lambda leaves: self.policy_loss(leaves, self.critic.arrays, batch, noise),
+            "policy_skipped",
+        )
 
     def sync_targets(self) -> None:
         self.policy_target.copy_from(self.policy)
@@ -657,7 +617,3 @@ class Learner:
         learner.steps_since_sync = int(meta["steps_since_sync"])
         return learner, meta
 
-
-def _transpose_bt(x: Tensor, batch: int, horizon: int) -> Tensor:
-    """[B, T, D] -> [T*B, D] without a transpose op: stack the T slices."""
-    return stack([x[:, t] for t in range(horizon)], axis=0).reshape(horizon * batch, -1)

@@ -22,6 +22,10 @@ from .rollout import MatchActor, play_match
 
 R_INIT = 1000.0
 
+# Matches in a row that may fail before `Trainer.run` gives up: a match that
+# keeps raising would otherwise loop forever when nothing caps the count.
+MAX_FAILED_MATCHES = 20
+
 DEFAULT_KNOB_BOUNDS: dict[str, tuple[float, float]] = {
     "actor_lr": (1e-6, 1e-2),
     "critic_lr": (1e-6, 1e-2),
@@ -367,24 +371,32 @@ class Trainer:
 
     def run(self, frame_budget: int, max_matches: int | None = None) -> dict:
         """Train until every agent has learned from `frame_budget` frames."""
-        self.save_checkpoints()
-        while min(a.frames for a in self.agents) < frame_budget:
-            if max_matches is not None and self.matches_played + self.matches_discarded >= max_matches:
-                break
-            self.play_training_match()
-            self.learning_phase()
-            self.evolution_phase()
-            if self.checkpoint_every and self.matches_played % self.checkpoint_every == 0:
-                self.save_checkpoints()
-        self.save_checkpoints()
-        summary = {
+        failed_in_a_row = 0
+        try:
+            self.save_checkpoints()
+            while min(a.frames for a in self.agents) < frame_budget:
+                if max_matches is not None and self.matches_played + self.matches_discarded >= max_matches:
+                    break
+                played = self.play_training_match() is not None
+                failed_in_a_row = 0 if played else failed_in_a_row + 1
+                if failed_in_a_row == MAX_FAILED_MATCHES:
+                    last = self.match_log.records[-1]
+                    raise RuntimeError(
+                        f"{failed_in_a_row} matches in a row failed; the last (seed {last['seed']}): {last['error']}"
+                    )
+                self.learning_phase()
+                self.evolution_phase()
+                if played and self.checkpoint_every and self.matches_played % self.checkpoint_every == 0:
+                    self.save_checkpoints()
+            self.save_checkpoints()
+        finally:
+            self.match_log.close()
+            self.evolution_log.close()
+            self.learner_log.close()
+        return {
             "matches": self.matches_played,
             "discarded": self.matches_discarded,
             "evolutions": self.evolutions,
             "frames": {a.agent_id: a.frames for a in self.agents},
             "ratings": {a.agent_id: a.rating for a in self.agents},
         }
-        self.match_log.close()
-        self.evolution_log.close()
-        self.learner_log.close()
-        return summary

@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .env import EnvConfig
 from .learner import AgentHyperparams, Learner, LearnerConfig
 from .nets import ArchSpec, CriticNet, PolicyNet, desk_arch
 from .pbt import PbtConfig, PopulationAgent
+from .seeding import derive_seed
 
 # Ablation ladder, cumulative left to right: feedforward baseline, then
 # hyperparameter evolution, shaping rewards, a recurrent critic, a recurrent
@@ -242,7 +241,7 @@ def build_population(config: RunConfig) -> list[PopulationAgent]:
     hyperparams = config.resolved_hyperparams()
     agents = []
     for k in range(config.pbt.population_size):
-        agent_seed = int(np.random.SeedSequence([config.seed, k]).generate_state(1, np.uint64)[0])
+        agent_seed = derive_seed(config.seed, k)
         learner = Learner(
             PolicyNet(config.policy_arch()),
             CriticNet(config.critic_arch(), n_heads=learner_config.n_critic_heads),

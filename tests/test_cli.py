@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soccerlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+import soccerlab.pbt as pbt
+from soccerlab.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from soccerlab.evaluation import PayoffMatrix
 from soccerlab.runconfig import (
     VARIANTS,
@@ -36,6 +37,11 @@ TINY_CONFIG = {
     },
     "learner": {"snippet_length": 10, "batch_size": 4, "replay_capacity": 2000},
 }
+
+
+class _Runaway(BaseException):
+    """Escapes the CLI's error handling, so a training loop that never gives
+    up fails the test instead of hanging it."""
 
 
 @pytest.fixture
@@ -212,6 +218,21 @@ class TestTrain:
         assert (run_dir / "matches.ndjson").read_text().count("\n") > lines_before
         stored = json.loads((run_dir / "config.json").read_text())
         assert stored["frame_budget"] == 800
+
+    def test_training_whose_matches_all_fail_is_internal_error(self, out_root, capsys, monkeypatch):
+        limit = pbt.MAX_FAILED_MATCHES
+        calls = {"n": 0}
+
+        def broken(env_config, actors, seed, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > limit + 1:
+                raise _Runaway
+            raise RuntimeError("worker died")
+
+        monkeypatch.setattr(pbt, "play_match", broken)
+        cfg = write_config(out_root)
+        assert run("train", "--config", str(cfg), "--set", "frame_budget=400", "--out", "r") == EXIT_INTERNAL
+        assert "worker died" in capsys.readouterr().err
 
     def test_resume_missing_directory_is_data_error(self, out_root, capsys):
         assert run("train", "--out", "ghost", "--resume") == EXIT_DATA

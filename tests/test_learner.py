@@ -1,5 +1,7 @@
 """Learner oracles: retrace vs the direct double-sum, finite-difference
 gradient checks of both losses, optimization sanity, replay and sync rules."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,72 @@ def test_expectation_sampling_converges_to_independent_estimate():
     )
     scale = np.maximum(np.abs(expected), 1.0)
     assert np.max(np.abs(targets - expected) / scale) < 0.01
+
+
+def unroll_by_step(apply, params, seqs, state0):
+    """`apply` stepped over [B, T, ...] inputs: the outputs stacked to
+    [B, T, ...] and the T+1 states before each step (None for ff nets)."""
+    states, steps = [state0], []
+    for t in range(seqs[0].shape[1]):
+        *outs, state = apply(params, *(x[:, t] for x in seqs), states[-1])
+        steps.append(outs)
+        states.append(state)
+    return [np.stack(outs, axis=1) for outs in zip(*steps)], states
+
+
+def state_row(state, b):
+    return None if state is None else (state[0][b : b + 1], state[1][b : b + 1])
+
+
+@pytest.mark.parametrize("recurrent", [False, True], ids=["ff", "lstm"])
+def test_batched_critic_queries_pair_each_action_with_its_row(recurrent):
+    # The critic keeps its action columns, so an action evaluated at another
+    # sample's, snippet's or step's observation or state changes the value.
+    learner = make_learner(
+        recurrent_policy=recurrent, recurrent_critic=recurrent, seed=50, expectation_samples=3, policy_samples=2
+    )
+    learner.policy_target.arrays["mean.b"] += 0.3  # target and online policies differ
+    rng = np.random.default_rng(51)
+    batch = stack_snippets([synth_snippet(rng, 4, terminal=(i == 1), recurrent=recurrent) for i in range(3)])
+    S, B, T = 3, 3, 4
+    policy_net, critic_net = learner.policy_net, learner.critic_net
+
+    # Retrace targets, with the expected next value built one query at a time
+    # from the noise the learner draws next.
+    noise = copy.deepcopy(learner.rng).standard_normal((S, B, T, ACTION_DIM))
+    targets, _ = learner.retrace_targets(batch)
+    extended = np.concatenate([batch.observations, batch.final_observation[:, None]], axis=1)
+    (mean, stddev), _ = unroll_by_step(policy_net.apply, learner.policy_target, (extended,), batch.policy_state0)
+    (q_behavior,), states = unroll_by_step(
+        critic_net.apply, learner.critic_target, (batch.observations, batch.actions), batch.critic_state0
+    )
+    eq = np.zeros((B, T, N_CHANNELS))
+    for s, b, t in np.ndindex(S, B, T):
+        action = mean[b, t + 1] + stddev[b, t + 1] * noise[s, b, t]
+        state = state_row(states[t + 1], b)
+        q, _ = critic_net.apply(learner.critic_target, extended[b, t + 1][None], action[None], state)
+        eq[b, t] += q[0] / S
+    eq[batch.terminal, -1] = 0.0
+    (mean, stddev), _ = unroll_by_step(policy_net.apply, learner.policy, (batch.observations,), batch.policy_state0)
+    log_pi = gaussian.log_prob_np(mean, stddev, batch.actions)
+    log_beta = gaussian.log_prob_np(batch.behavior_mean, batch.behavior_stddev, batch.actions)
+    ratios = np.minimum(1.0, np.exp(log_pi - log_beta))
+    expected = retrace_from_values(batch.rewards, q_behavior, eq, ratios, learner.hyperparams.discounts)
+    np.testing.assert_allclose(targets, expected, atol=1e-10)
+
+    # Policy value: the online critic at each reparameterized action.
+    noise = rng.standard_normal((2, B, T, ACTION_DIM))
+    _, info = learner.policy_loss(wrap_leaves(learner.policy.arrays), learner.critic.arrays, batch, noise)
+    _, states = unroll_by_step(
+        critic_net.apply, learner.critic, (batch.observations, batch.actions), batch.critic_state0
+    )
+    value = 0.0
+    for s, b, t in np.ndindex(2, B, T):
+        action = mean[b, t] + stddev[b, t] * noise[s, b, t]
+        state = state_row(states[t], b)
+        q, _ = critic_net.apply(learner.critic, batch.observations[b, t][None], action[None], state)
+        value += q[0] @ learner.hyperparams.reward_weights
+    assert info["policy_value"] == pytest.approx(value / (2 * B * T), rel=1e-12, abs=1e-12)
 
 
 def test_zero_behavior_density_is_capped_and_flagged():

@@ -410,6 +410,39 @@ def test_failed_match_is_discarded_and_training_continues(monkeypatch, tmp_path)
     assert trainer.match_log.records[0]["kind"] == "match_failed"
 
 
+class _Runaway(BaseException):
+    """Escapes `Trainer.run`'s match error handling, so a loop that never
+    gives up fails the test instead of hanging it."""
+
+
+def test_trainer_gives_up_when_every_match_fails(monkeypatch, tmp_path):
+    limit = pbt.MAX_FAILED_MATCHES
+    calls = {"n": 0}
+
+    def broken(env_config, actors, seed, **kwargs):
+        calls["n"] += 1
+        if calls["n"] > limit + 1:
+            raise _Runaway
+        raise RuntimeError("worker died")
+
+    monkeypatch.setattr(pbt, "play_match", broken)
+    config = PbtConfig(population_size=4)
+    trainer = Trainer(fast_env(), make_population(), config, seed=16, out_dir=tmp_path, checkpoint_every=1)
+    sweeps = {"n": 0}
+    real_sweep = trainer.save_checkpoints
+
+    def counted_sweep():
+        sweeps["n"] += 1
+        real_sweep()
+
+    monkeypatch.setattr(trainer, "save_checkpoints", counted_sweep)
+    with pytest.raises(RuntimeError, match="worker died"):
+        trainer.run(frame_budget=10**9)
+    assert calls["n"] == limit
+    assert sweeps["n"] == 1  # the initial sweep only: no match was played
+    assert [rec["kind"] for rec in trainer.match_log.records] == ["match_failed"] * limit
+
+
 def test_pbt_config_validation():
     with pytest.raises(ValueError):
         PbtConfig(population_size=2)
