@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .env import (
     N_PLAYERS,
     TEAM_OF,
@@ -79,35 +80,18 @@ class BehaviorStats:
     empty: bool
 
     def __post_init__(self):
+        for name in ("passes", "interceptions", "passes_10m", "interceptions_10m", "steps"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "spread_fraction", float(self.spread_fraction))
+        object.__setattr__(self, "mean_vel_to_ball", float(self.mean_vel_to_ball))
+        object.__setattr__(self, "empty", bool(self.empty))
         if not (0.0 <= self.spread_fraction <= 1.0):
             raise ValueError("spread_fraction must lie in [0, 1]")
         if self.passes_10m > self.passes or self.interceptions_10m > self.interceptions:
             raise ValueError("long-range counts cannot exceed the unrestricted counts")
 
-    def to_json(self) -> dict:
-        return {
-            "passes": self.passes,
-            "interceptions": self.interceptions,
-            "passes_10m": self.passes_10m,
-            "interceptions_10m": self.interceptions_10m,
-            "spread_fraction": self.spread_fraction,
-            "mean_vel_to_ball": self.mean_vel_to_ball,
-            "steps": self.steps,
-            "empty": self.empty,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BehaviorStats":
-        return cls(
-            passes=int(obj["passes"]),
-            interceptions=int(obj["interceptions"]),
-            passes_10m=int(obj["passes_10m"]),
-            interceptions_10m=int(obj["interceptions_10m"]),
-            spread_fraction=float(obj["spread_fraction"]),
-            mean_vel_to_ball=float(obj["mean_vel_to_ball"]),
-            steps=int(obj["steps"]),
-            empty=bool(obj["empty"]),
-        )
+    to_json = records.to_json
+    from_json = classmethod(records.from_json)
 
 
 def count_events(touches: list[TouchEvent]) -> tuple[int, int, int, int]:
@@ -263,11 +247,7 @@ def _entity_index(subset: str, player: int) -> int | None:
     if subset == "teammate_position":
         return TEAMMATE_OF[player]
     opponents = [j for j in range(N_PLAYERS) if TEAM_OF[j] != TEAM_OF[player]]
-    if subset == "opponent0_position":
-        return opponents[0]
-    if subset == "opponent1_position":
-        return opponents[1]
-    raise ValueError(f"unknown observation subset {subset!r}; expected one of {SUBSETS}")
+    return opponents[0] if subset == "opponent0_position" else opponents[1]
 
 
 def _replaced_observation(state: EnvState, player: int, entity: int | None, pos: np.ndarray) -> np.ndarray:
@@ -279,28 +259,6 @@ def _replaced_observation(state: EnvState, player: int, entity: int | None, pos:
     return observe(alt, player)
 
 
-def counterfactual_divergence(
-    policy_net,
-    policy,
-    result: MatchResult,
-    player: int,
-    subset: str,
-    num_alternatives: int = 10,
-    seed: int = 0,
-    reverse: bool = False,
-) -> float:
-    """Mean KL(true || counterfactual) action distribution over a trace.
-
-    At every step the chosen entity's world position is replaced by draws
-    uniform over the pitch (the placement distribution of a fresh episode)
-    and the observation is re-encoded, so exactly that entity's features
-    change. Feedforward policies only: a recurrent state would carry the
-    true history into the counterfactual branch. `reverse` swaps the KL
-    direction.
-    """
-    return _divergences(policy_net, policy, result, player, (subset,), num_alternatives, seed, reverse)[subset]
-
-
 def counterfactual_profile(
     policy_net,
     policy,
@@ -310,15 +268,17 @@ def counterfactual_profile(
     seed: int = 0,
     reverse: bool = False,
 ) -> dict[str, float]:
-    """Divergence per observation subset, every subset on the same draws."""
-    return _divergences(policy_net, policy, result, player, SUBSETS, num_alternatives, seed, reverse)
+    """Mean KL(true || counterfactual) action distribution over a trace, per
+    observation subset.
 
-
-def _divergences(policy_net, policy, result, player, subsets, num_alternatives, seed, reverse) -> dict[str, float]:
-    """`counterfactual_divergence` for each of `subsets` in one pass over the
-    trace: each step observes the true state and runs the policy on it once,
-    and every subset replaces its entity with the same draws."""
-    entities = {subset: _entity_index(subset, player) for subset in subsets}
+    At every step each subset's entity has its world position replaced by
+    draws uniform over the pitch (the placement distribution of a fresh
+    episode), the same draws for every subset, and the observation is
+    re-encoded, so exactly that entity's features change. The true state is
+    observed and run through the policy once per step. Feedforward policies
+    only: a recurrent state would carry the true history into the
+    counterfactual branch. `reverse` swaps the KL direction.
+    """
     if policy_net.zero_state(1) is not None:
         raise ValueError("counterfactual divergence is only defined for feedforward policies")
     if not 0 <= player < N_PLAYERS:
@@ -330,8 +290,9 @@ def _divergences(policy_net, policy, result, player, subsets, num_alternatives, 
     if result.states is None or len(result.states) != result.steps + 1:
         raise ValueError("trace has no per-step states; record with keep_states")
 
+    entities = {subset: _entity_index(subset, player) for subset in SUBSETS}
     rng = np.random.default_rng([int(seed), N_PLAYERS * len(SUBSETS)])
-    totals = dict.fromkeys(subsets, 0.0)
+    totals = dict.fromkeys(SUBSETS, 0.0)
     for state in result.states[: result.steps]:
         half = np.array([state.pitch_length / 2.0, state.pitch_width / 2.0])
         true_mean, true_std, _ = policy_net.apply(policy, observe(state, player)[None, :], None)

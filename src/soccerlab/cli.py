@@ -31,7 +31,7 @@ from .analytics import (
     result_to_records,
     run_probe,
 )
-from .env import EnvConfig
+from .env import N_PLAYERS, EnvConfig
 from .env.trace import read_trace, write_trace
 from .evaluation import (
     Entrant,
@@ -66,6 +66,20 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type for an integer flag in [low, high]; no upper bound when
+    `high` is None."""
+    bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return integer
 
 
 def _out_root() -> Path:
@@ -109,11 +123,10 @@ def _read_json(path: Path, what: str) -> dict:
 # -- train ---------------------------------------------------------------------
 
 
-def _load_config(args) -> RunConfig:
-    file_obj = _read_json(Path(args.config), "config file") if args.config else None
+def _load_config(file_obj: dict | None, overrides: list[str] | None) -> RunConfig:
     try:
-        return load_run_config(file_obj, args.set or [])
-    except (ValueError, TypeError) as exc:
+        return load_run_config(file_obj, overrides or [])
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"invalid run config: {exc}")
 
 
@@ -144,14 +157,11 @@ def cmd_train(args) -> int:
         if not args.out:
             raise UsageError("--resume requires --out")
         run_dir = _resolve_out(args.out)
-        stored = _read_json(run_dir / "config.json", "run config")
-        try:
-            config = load_run_config(stored, args.set or [])
-        except (ValueError, TypeError) as exc:
-            raise DataError(f"invalid run config: {exc}")
+        config = _load_config(_read_json(run_dir / "config.json", "run config"), args.set)
         agents = _restore_population(config, run_dir)
     else:
-        config = _load_config(args)
+        file_obj = _read_json(Path(args.config), "config file") if args.config else None
+        config = _load_config(file_obj, args.set)
         out = args.out or config.out
         if not out:
             raise UsageError("no output directory: pass --out or set 'out' in the config")
@@ -231,7 +241,7 @@ def cmd_nash(args) -> int:
     obj = _read_json(Path(args.matrix), "payoff matrix")
     try:
         matrix = PayoffMatrix.from_json(obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise DataError(f"malformed payoff matrix {args.matrix}: {exc}")
     result = nash_average(matrix)
     report = {
@@ -354,11 +364,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tournament", help="round-robin between checkpoints, matrix + ratings")
     p.add_argument("checkpoints", nargs="+", help="agent checkpoint files")
-    p.add_argument("--matches", type=int, default=4, help="matches per pair")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true", help="force a single worker")
-    p.add_argument("--max-steps", type=int, default=None, help="cap on control steps per match")
+    p.add_argument("--matches", type=_int_in(1), default=4, help="matches per pair")
+    p.add_argument("--seed", type=_int_in(0), default=0)
+    p.add_argument("--workers", type=_int_in(1), default=1)
+    p.add_argument("--deterministic", action="store_true", help="same as --workers 1")
+    p.add_argument("--max-steps", type=_int_in(1), default=None, help="cap on control steps per match")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_tournament)
 
@@ -370,26 +380,28 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="pass/interception counts from the fixed scenario")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("--episodes", type=int, default=100)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--episodes", type=_int_in(1), default=100)
+    p.add_argument("--horizon", type=_int_in(1), default=100)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--out", help="report file; stdout when omitted")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("analyze", help="behavior statistics and divergence over trace files")
     p.add_argument("traces", nargs="*", help="trace files from export-traces")
     p.add_argument("--policy", help="feedforward checkpoint for counterfactual divergence")
-    p.add_argument("--player", type=int, default=0, help="player index the divergence is measured for")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--player", type=_int_in(0, N_PLAYERS - 1), default=0, help="player index the divergence is measured for"
+    )
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--out", help="report file; stdout when omitted")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("export-traces", help="record self-play matches as trace files")
     p.add_argument("--checkpoint", required=True, help="policy for the blue pair")
     p.add_argument("--opponent", help="policy for the red pair; blue plays itself when omitted")
-    p.add_argument("--matches", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--matches", type=_int_in(1), default=1)
+    p.add_argument("--seed", type=_int_in(0), default=0)
+    p.add_argument("--max-steps", type=_int_in(1), default=None)
     p.add_argument("--out", required=True, help="trace directory")
     p.set_defaults(func=cmd_export_traces)
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .. import records
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -61,6 +63,9 @@ class EnvConfig:
         if self.goal_width_fraction <= 0.0 or self.goal_width_fraction >= 1.0:
             raise ValueError("goal width fraction must lie in (0, 1)")
 
+    to_json = records.to_json
+    from_json = classmethod(records.from_json)
+
     @property
     def substep_dt(self) -> float:
         return self.control_dt / self.substeps
@@ -76,8 +81,3 @@ class EnvConfig:
     def fixed_pitch(self) -> "EnvConfig":
         """Variant with the scale range collapsed to the base dimensions."""
         return replace(self, scale_min=1.0, scale_max=1.0)
-
-
-def desk_pitch(length: float = 14.0) -> EnvConfig:
-    """A smaller fixed pitch (default 14 x 10.5) for fast experiments."""
-    return EnvConfig(pitch_length=length, pitch_width=length * 0.75, scale_min=1.0, scale_max=1.0)

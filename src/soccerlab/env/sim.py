@@ -290,16 +290,6 @@ def _throw_in(config: EnvConfig, s: EnvState) -> tuple[EnvState, np.ndarray]:
     return s, crossing
 
 
-def throw_in(config: EnvConfig, state: EnvState) -> tuple[EnvState, list[dict]]:
-    """Public throw-in; flags and leaves the state alone if the ball is in bounds."""
-    half_l = state.pitch_length / 2.0
-    half_w = state.pitch_width / 2.0
-    if abs(state.ball_pos[0]) <= half_l and abs(state.ball_pos[1]) <= half_w:
-        return state, [{"kind": "throw_in_noop"}]
-    s, spot = _throw_in(config, state.copy())
-    return s, [{"kind": "throw_in", "pos": [float(spot[0]), float(spot[1])]}]
-
-
 # ---- observations ------------------------------------------------------
 
 
@@ -445,13 +435,6 @@ def mirror_state(state: EnvState, axis: str = "x") -> EnvState:
     s.player_angvel = -s.player_angvel
     s.ball_spin = -s.ball_spin
     return s
-
-
-def mirror_actions(actions: np.ndarray) -> np.ndarray:
-    """Action counterpart of mirror_state: turn flips, drive and kick stay."""
-    acts = np.asarray(actions, dtype=float).copy()
-    acts[:, 1] *= -1.0
-    return acts
 
 
 def probe_reset(config: EnvConfig, side: str, seed: int = 0) -> EnvState:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp, softmax
 
+from . import records
 from .env import EnvConfig
 from .netcore import ParamSet
 from .nets import ArchSpec, PolicyNet, load_checkpoint
@@ -67,6 +68,8 @@ class PayoffMatrix:
         for name in ("goal_difference", "win_or_draw", "wins", "draws", "counts"):
             if getattr(self, name).shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}")
+        if not (np.all(np.isfinite(self.goal_difference)) and np.all(np.isfinite(self.win_or_draw))):
+            raise ValueError("goal_difference and win_or_draw must be finite")
         if np.max(np.abs(self.goal_difference + self.goal_difference.T), initial=0.0) > 1e-9:
             raise ValueError("goal difference must be antisymmetric")
         if not (
@@ -80,26 +83,8 @@ class PayoffMatrix:
         if not np.allclose(self.win_or_draw[played], expected[played], atol=1e-9):
             raise ValueError("win_or_draw inconsistent with counts")
 
-    def to_json(self) -> dict:
-        return {
-            "agent_ids": list(self.agent_ids),
-            "goal_difference": self.goal_difference.tolist(),
-            "win_or_draw": self.win_or_draw.tolist(),
-            "wins": self.wins.tolist(),
-            "draws": self.draws.tolist(),
-            "counts": self.counts.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PayoffMatrix":
-        return cls(
-            agent_ids=tuple(obj["agent_ids"]),
-            goal_difference=obj["goal_difference"],
-            win_or_draw=obj["win_or_draw"],
-            wins=obj["wins"],
-            draws=obj["draws"],
-            counts=obj["counts"],
-        )
+    to_json = records.to_json
+    from_json = classmethod(records.from_json)
 
 
 def _play_spec(spec) -> tuple[int, int]:

@@ -11,10 +11,11 @@ step counters that population training reads for eligibility decisions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .env import ACTION_DIM, CHANNEL_NAMES, N_CHANNELS, OBS_DIM
 from .netcore import AdamState, ParamSet, Tensor, adam_step, collect_grads, gaussian, stack, wrap_leaves
 from .nets import ArchSpec, CriticNet, PolicyNet, load_checkpoint, save_checkpoint
@@ -80,7 +81,14 @@ class AgentHyperparams:
         unknown = set(obj) - set(KNOB_NAMES)
         if unknown:
             raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
+        missing = [name for name in KNOB_NAMES if name not in obj]
+        if missing:
+            raise ValueError(f"missing hyperparameters: {missing}")
         return cls(**{name: float(value) for name, value in obj.items()})
+
+    # Its JSON form, as a section of a run config, is the knob mapping.
+    to_json = as_dict
+    from_json = from_dict
 
 
 @dataclass
@@ -176,10 +184,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def n_added(self) -> int:
-        return self._n_added
-
     def add(self, snippet: TrajectorySnippet) -> None:
         self._entries.append((self._n_added, snippet))
         self._n_added += 1
@@ -269,12 +273,8 @@ class LearnerConfig:
     def n_critic_heads(self) -> int:
         return N_CHANNELS if self.channels else 1
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LearnerConfig":
-        return cls(**obj)
+    to_json = records.to_json
+    from_json = classmethod(records.from_json)
 
 
 @dataclass

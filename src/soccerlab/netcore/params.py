@@ -13,7 +13,6 @@ little-endian, arrays sorted by name so equal content gives equal bytes):
 """
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 
@@ -50,9 +49,6 @@ class ParamSet:
             np.copyto(self.arrays[k], v)
         self.bump_version()
 
-    def n_scalars(self) -> int:
-        return sum(a.size for a in self.arrays.values())
-
     def write_block(self, fh) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<QI", self.version, len(self.arrays)))
@@ -81,23 +77,6 @@ class ParamSet:
             data = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8").reshape(shape)
             arrays[name] = data.astype(np.float64).copy()
         return cls(arrays, version)
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            self.write_block(fh)
-
-    @classmethod
-    def load(cls, path) -> "ParamSet":
-        with open(path, "rb") as fh:
-            out = cls.read_block(fh)
-            if fh.read(1):
-                raise ValueError("trailing bytes after parameter block")
-            return out
-
-    def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        self.write_block(buf)
-        return buf.getvalue()
 
 
 def _read_exact(fh, n: int) -> bytes:

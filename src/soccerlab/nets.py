@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .env import ACTION_DIM, OBS_DIM
 from .netcore import (
     ParamSet,
@@ -65,6 +66,8 @@ class ArchSpec:
     def __post_init__(self):
         object.__setattr__(self, "embed_sizes", tuple(int(n) for n in self.embed_sizes))
         object.__setattr__(self, "trunk_sizes", tuple(int(n) for n in self.trunk_sizes))
+        object.__setattr__(self, "core_size", int(self.core_size))
+        object.__setattr__(self, "recurrent", bool(self.recurrent))
         if not self.embed_sizes or not self.trunk_sizes:
             raise ValueError("embed_sizes and trunk_sizes must be non-empty")
 
@@ -74,22 +77,8 @@ class ArchSpec:
         # non-player features.
         return NONPLAYER_DIM + 3 * self.embed_sizes[-1]
 
-    def to_json(self) -> dict:
-        return {
-            "embed_sizes": list(self.embed_sizes),
-            "trunk_sizes": list(self.trunk_sizes),
-            "core_size": self.core_size,
-            "recurrent": self.recurrent,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ArchSpec":
-        return cls(
-            embed_sizes=tuple(obj["embed_sizes"]),
-            trunk_sizes=tuple(obj["trunk_sizes"]),
-            core_size=int(obj["core_size"]),
-            recurrent=bool(obj["recurrent"]),
-        )
+    to_json = records.to_json
+    from_json = classmethod(records.from_json)
 
 
 def desk_arch(recurrent: bool = False) -> ArchSpec:

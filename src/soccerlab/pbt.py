@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .env import TEAM_OF, EnvConfig
 from .learner import KNOB_NAMES, AgentHyperparams, Learner
 from .rollout import MatchActor, play_match
@@ -59,6 +60,7 @@ class PbtConfig:
     knob_bounds: dict = field(default_factory=lambda: dict(DEFAULT_KNOB_BOUNDS))
 
     def __post_init__(self):
+        object.__setattr__(self, "knob_bounds", {k: tuple(v) for k, v in self.knob_bounds.items()})
         if self.population_size < 4:
             raise ValueError("population must hold at least one 2v2 match")
         if not 0.0 < self.select_threshold < 0.5:
@@ -68,6 +70,9 @@ class PbtConfig:
                 raise ValueError("probabilities and fractions must lie in [0, 1]")
         if set(self.knob_bounds) != set(KNOB_NAMES):
             raise ValueError("knob_bounds must cover exactly the evolvable knobs")
+
+    to_json = records.to_json
+    from_json = classmethod(records.from_json)
 
 
 # -- Elo ----------------------------------------------------------------------

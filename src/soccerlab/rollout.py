@@ -78,11 +78,6 @@ class MatchResult:
     states: list[EnvState] | None  # pre-step states plus the final state
     seed: int
 
-    @property
-    def goal_difference(self) -> int:
-        # From the blue team's side (players 0 and 1).
-        return self.score[0] - self.score[1]
-
 
 def play_match(
     config: EnvConfig,

@@ -12,8 +12,9 @@ a config cannot contradict its own variant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
+from . import records
 from .env import EnvConfig
 from .learner import AgentHyperparams, Learner, LearnerConfig
 from .nets import ArchSpec, CriticNet, PolicyNet, desk_arch
@@ -25,34 +26,8 @@ from .seeding import derive_seed
 # policy as well, and finally the per-channel value decomposition.
 VARIANTS = ("ff", "ff+evo", "+rwd_shp", "lstm_q", "lstm", "+channels")
 
-# Variant-owned toggles that must not appear in config files.
-_RESERVED = {
-    "pbt": ("evolve",),
-    "learner": ("channels",),
-    "arch": ("recurrent",),
-}
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
-def _section(instance, skip: tuple[str, ...] = ()) -> dict:
-    return {f.name: _plain(getattr(instance, f.name)) for f in fields(instance) if f.name not in skip}
-
-
-def _build(cls, obj: dict, what: str, skip: tuple[str, ...] = ()):
-    if not isinstance(obj, dict):
-        raise ValueError(f"config section {what!r} must be a mapping")
-    allowed = {f.name for f in fields(cls)} - set(skip)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**obj)
+# Variant-owned toggles, one per section, that must not appear in config files.
+_RESERVED = {"pbt": "evolve", "learner": "channels", "arch": "recurrent"}
 
 
 @dataclass(frozen=True)
@@ -73,8 +48,13 @@ class RunConfig:
     arch: ArchSpec = field(default_factory=desk_arch)
 
     def __post_init__(self):
+        for name in ("seed", "frame_budget", "max_matches", "checkpoint_every", "steps_per_match"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "out", str(self.out))
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.frame_budget < 0 or self.max_matches < 0 or self.checkpoint_every < 0:
             raise ValueError("budgets and cadences must be non-negative")
         if self.steps_per_match < 1:
@@ -85,105 +65,49 @@ class RunConfig:
         return VARIANTS.index(self.variant)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "variant": self.variant,
-            "frame_budget": self.frame_budget,
-            "max_matches": self.max_matches,
-            "checkpoint_every": self.checkpoint_every,
-            "steps_per_match": self.steps_per_match,
-            "out": self.out,
-            "env": _section(self.env),
-            "pbt": _section(self.pbt, skip=_RESERVED["pbt"]),
-            "learner": _section(self.learner, skip=_RESERVED["learner"]),
-            "hyperparams": self.hyperparams.as_dict(),
-            "arch": {
-                "embed_sizes": list(self.arch.embed_sizes),
-                "trunk_sizes": list(self.arch.trunk_sizes),
-                "core_size": self.arch.core_size,
-            },
-        }
+        obj = records.to_json(self)
+        for section, key in _RESERVED.items():
+            del obj[section][key]
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
+        """The inverse of `to_json`: a variant-owned toggle is rejected if
+        present and otherwise takes its default."""
         if not isinstance(obj, dict):
-            raise ValueError("run config must be a mapping")
-        sections = {"env", "pbt", "learner", "hyperparams", "arch"}
-        scalars = {"seed", "variant", "frame_budget", "max_matches", "checkpoint_every", "steps_per_match", "out"}
-        unknown = set(obj) - sections - scalars
-        if unknown:
-            raise ValueError(f"unknown run config keys: {sorted(unknown)}")
-
-        pbt_obj = dict(obj.get("pbt", {}))
-        if isinstance(pbt_obj.get("knob_bounds"), dict):
-            pbt_obj["knob_bounds"] = {k: tuple(v) for k, v in pbt_obj["knob_bounds"].items()}
-        arch_obj = dict(obj.get("arch", {}))
-        if "recurrent" in arch_obj:
-            raise ValueError("arch.recurrent is owned by the variant selector")
-        arch_obj = {k: tuple(v) if isinstance(v, list) else v for k, v in arch_obj.items()}
-        arch_defaults = desk_arch()
-        arch = ArchSpec(
-            embed_sizes=arch_obj.get("embed_sizes", arch_defaults.embed_sizes),
-            trunk_sizes=arch_obj.get("trunk_sizes", arch_defaults.trunk_sizes),
-            core_size=int(arch_obj.get("core_size", arch_defaults.core_size)),
-        )
-        bad_arch = set(arch_obj) - {"embed_sizes", "trunk_sizes", "core_size"}
-        if bad_arch:
-            raise ValueError(f"unknown arch keys: {sorted(bad_arch)}")
-
-        return cls(
-            seed=int(obj.get("seed", 0)),
-            variant=obj.get("variant", "+channels"),
-            frame_budget=int(obj.get("frame_budget", 200_000)),
-            max_matches=int(obj.get("max_matches", 0)),
-            checkpoint_every=int(obj.get("checkpoint_every", 0)),
-            steps_per_match=int(obj.get("steps_per_match", 4)),
-            out=str(obj.get("out", "")),
-            env=_build(EnvConfig, obj.get("env", {}), "env"),
-            pbt=_build(PbtConfig, pbt_obj, "pbt", skip=_RESERVED["pbt"]),
-            learner=_build(LearnerConfig, obj.get("learner", {}), "learner", skip=_RESERVED["learner"]),
-            hyperparams=AgentHyperparams.from_dict(obj.get("hyperparams", {})),
-            arch=arch,
-        )
+            raise ValueError("run config must be a JSON object")
+        obj, defaults = dict(obj), cls()
+        for section, key in _RESERVED.items():
+            if isinstance(obj.get(section), dict):
+                if key in obj[section]:
+                    raise ValueError(f"{section}.{key} is owned by the variant selector")
+                obj[section] = {**obj[section], key: getattr(getattr(defaults, section), key)}
+        return records.from_json(cls, obj)
 
     # -- variant resolution -------------------------------------------------
 
     def resolved_pbt(self) -> PbtConfig:
-        values = {f.name: getattr(self.pbt, f.name) for f in fields(self.pbt)}
-        values["evolve"] = self.level >= 1
-        return PbtConfig(**values)
+        return replace(self.pbt, evolve=self.level >= 1)
 
     def resolved_learner(self) -> LearnerConfig:
-        values = {f.name: getattr(self.learner, f.name) for f in fields(self.learner)}
-        values["channels"] = self.level >= 5
-        return LearnerConfig(**values)
+        return replace(self.learner, channels=self.level >= 5)
 
     def resolved_hyperparams(self) -> AgentHyperparams:
-        values = self.hyperparams.as_dict()
-        if self.level < 2:
-            values["reward_weight_vel_to_ball"] = 0.0
-            values["reward_weight_vel_ball_to_goal"] = 0.0
-        return AgentHyperparams(**values)
+        if self.level >= 2:
+            return replace(self.hyperparams)
+        return replace(self.hyperparams, reward_weight_vel_to_ball=0.0, reward_weight_vel_ball_to_goal=0.0)
 
     def policy_arch(self) -> ArchSpec:
-        return ArchSpec(
-            embed_sizes=self.arch.embed_sizes,
-            trunk_sizes=self.arch.trunk_sizes,
-            core_size=self.arch.core_size,
-            recurrent=self.level >= 4,
-        )
+        return replace(self.arch, recurrent=self.level >= 4)
 
     def critic_arch(self) -> ArchSpec:
-        return ArchSpec(
-            embed_sizes=self.arch.embed_sizes,
-            trunk_sizes=self.arch.trunk_sizes,
-            core_size=self.arch.core_size,
-            recurrent=self.level >= 3,
-        )
+        return replace(self.arch, recurrent=self.level >= 3)
 
 
 def merge_config(base: dict, update: dict, path: str = "") -> dict:
     """Deep merge `update` onto `base`; keys absent from `base` are rejected."""
+    if not isinstance(update, dict):
+        raise ValueError("a run config must be a JSON object")
     merged = dict(base)
     for key, value in update.items():
         where = f"{path}{key}"

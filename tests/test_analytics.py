@@ -21,7 +21,6 @@ from soccerlab.analytics import (
     TouchEvent,
     aggregate_stats,
     count_events,
-    counterfactual_divergence,
     counterfactual_profile,
     extract_stats,
     gaussian_kl,
@@ -269,12 +268,12 @@ def test_closed_form_kl_matches_monte_carlo_within_one_percent():
 def test_divergence_is_deterministic_and_direction_sensitive():
     net, params = tiny_policy()
     trace = scripted_match()
-    forward = counterfactual_divergence(net, params, trace, 0, "ball_position", seed=4)
-    assert counterfactual_divergence(net, params, trace, 0, "ball_position", seed=4) == forward
-    reverse = counterfactual_divergence(net, params, trace, 0, "ball_position", seed=4, reverse=True)
+    forward = counterfactual_profile(net, params, trace, 0, seed=4)["ball_position"]
+    assert counterfactual_profile(net, params, trace, 0, seed=4)["ball_position"] == forward
+    reverse = counterfactual_profile(net, params, trace, 0, seed=4, reverse=True)["ball_position"]
     assert forward > 0.0 and reverse > 0.0
     assert forward != reverse
-    assert counterfactual_divergence(net, params, trace, 0, "ball_position", seed=5) != forward
+    assert counterfactual_profile(net, params, trace, 0, seed=5)["ball_position"] != forward
 
 
 def test_divergence_rejects_recurrent_policies_and_bad_input():
@@ -282,18 +281,16 @@ def test_divergence_rejects_recurrent_policies_and_bad_input():
     recurrent = PolicyNet(ArchSpec(embed_sizes=(6, 4), trunk_sizes=(8,), core_size=6, recurrent=True))
     rec_params = recurrent.init_params(np.random.default_rng(0))
     with pytest.raises(ValueError, match="feedforward"):
-        counterfactual_divergence(recurrent, rec_params, trace, 0, "ball_position")
+        counterfactual_profile(recurrent, rec_params, trace, 0)
 
     net, params = tiny_policy()
-    with pytest.raises(ValueError, match="subset"):
-        counterfactual_divergence(net, params, trace, 0, "ball_velocity")
+    with pytest.raises(ValueError, match="player"):
+        counterfactual_profile(net, params, trace, 7)
     with pytest.raises(ValueError):
-        counterfactual_divergence(net, params, trace, 7, "ball_position")
-    with pytest.raises(ValueError):
-        counterfactual_divergence(net, params, trace, 0, "ball_position", num_alternatives=0)
+        counterfactual_profile(net, params, trace, 0, num_alternatives=0)
     empty = MatchResult(score=(0, 0), steps=0, events=[], trajectories=None, states=None, seed=0)
     with pytest.raises(ValueError):
-        counterfactual_divergence(net, params, empty, 0, "ball_position")
+        counterfactual_profile(net, params, empty, 0)
 
 
 def test_profile_covers_every_subset():

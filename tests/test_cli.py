@@ -75,12 +75,6 @@ def train_tiny(root: Path, name: str, budget: int = 0, extra_sets=()) -> Path:
 
 
 class TestRunConfig:
-    def test_defaults_round_trip_bytes(self):
-        cfg = RunConfig()
-        blob = json.dumps(cfg.to_json(), sort_keys=True)
-        again = RunConfig.from_json(json.loads(blob))
-        assert json.dumps(again.to_json(), sort_keys=True) == blob
-
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             load_run_config({"bogus": 1})
@@ -163,6 +157,67 @@ class TestExitCodes:
         cfg.write_text('{"mystery": 1}')
         assert run("train", "--config", str(cfg), "--out", "r") == EXIT_DATA
         assert "mystery" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_is_data_error(self, out_root, capsys):
+        cfg = out_root / "c.json"
+        cfg.write_text("[1]")
+        assert run("train", "--config", str(cfg), "--out", "r") == EXIT_DATA
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_negative_seed_in_config_is_data_error(self, out_root, capsys):
+        cfg = write_config(out_root, seed=-1)
+        assert run("train", "--config", str(cfg), "--out", "r") == EXIT_DATA
+        assert "seed" in capsys.readouterr().err
+
+    def test_infinite_integer_in_config_is_data_error(self, out_root, capsys):
+        assert run("train", "--set", "seed=1e400", "--out", "r") == EXIT_DATA
+        assert "invalid run config" in capsys.readouterr().err
+
+    def test_non_finite_matrix_is_data_error(self, out_root, capsys):
+        matrix = {
+            "agent_ids": ["a", "b"],
+            "goal_difference": [[0.0, float("nan")], [float("nan"), 0.0]],
+            "win_or_draw": [[0.0, 1.0], [0.0, 0.0]],
+            "wins": [[0, 1], [0, 0]],
+            "draws": [[0, 0], [0, 0]],
+            "counts": [[0, 1], [1, 0]],
+        }
+        path = out_root / "nan.json"
+        path.write_text(json.dumps(matrix))
+        assert run("nash", "--matrix", str(path)) == EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+
+
+# Flags outside their range, each named in the usage error. Every one of them
+# used to run (and exit 0) or crash (exit 3).
+OUT_OF_RANGE = [
+    ("tournament", "--matches", "0"),
+    ("tournament", "--max-steps", "0"),
+    ("tournament", "--workers", "0"),
+    ("tournament", "--seed", "-1"),
+    ("probe", "--episodes", "-2"),
+    ("probe", "--horizon", "-3"),
+    ("probe", "--seed", "-1"),
+    ("export-traces", "--matches", "-1"),
+    ("export-traces", "--seed", "-1"),
+    ("analyze", "--seed", "-1"),
+    ("analyze", "--player", "7"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE)
+def test_out_of_range_flag_is_usage_error(command, flag, value, trained_run, out_root, capsys):
+    ckpts = sorted(str(p) for p in (trained_run / "checkpoints").iterdir())
+    base = {
+        "tournament": ["tournament", *ckpts[:2], "--matches", "1", "--max-steps", "5", "--out", "t"],
+        "probe": ["probe", "--checkpoint", ckpts[0], "--side", "left", "--episodes", "1", "--horizon", "5"],
+        "export-traces": ["export-traces", "--checkpoint", ckpts[0], "--max-steps", "5", "--out", "x"],
+    }
+    if command == "analyze":
+        assert run("export-traces", "--checkpoint", ckpts[0], "--max-steps", "5", "--out", "x") == EXIT_OK
+        base["analyze"] = ["analyze", str(out_root / "x" / "trace_000.ndjson"), "--policy", ckpts[0]]
+    assert run(*base[command], flag, value) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 # -- train ------------------------------------------------------------------------

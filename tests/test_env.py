@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from soccerlab import env
-from soccerlab.env import EnvConfig, desk_pitch
+from soccerlab.env import EnvConfig
 from soccerlab.env.sim import _wrap_angle
 
 
@@ -326,14 +326,15 @@ def test_throw_in_distance_distribution():
     distances = []
     for seed in range(400):
         state = make_state(cfg, FAR_CORNERS, [2.0, half_w + 0.4], seed=seed)
-        new_state, events = env.throw_in(cfg, state)
-        crossing = np.array(events[0]["pos"])
+        out = env.step(cfg, state, np.zeros((4, 3)))
+        (throw_in,) = [e for e in out.events if e["kind"] == "throw_in"]
+        crossing = np.array(throw_in["pos"])
         np.testing.assert_allclose(crossing, [2.0, half_w], atol=1e-12)
-        d = float(np.hypot(*(new_state.ball_pos - crossing)))
+        d = float(np.hypot(*(out.state.ball_pos - crossing)))
         distances.append(d)
-        assert abs(new_state.ball_pos[0]) < cfg.pitch_length / 2
-        assert abs(new_state.ball_pos[1]) < half_w
-        assert np.all(new_state.ball_vel == 0.0)
+        assert abs(out.state.ball_pos[0]) < cfg.pitch_length / 2
+        assert abs(out.state.ball_pos[1]) < half_w
+        assert np.all(out.state.ball_vel == 0.0)
     distances = np.asarray(distances)
     assert distances.min() >= cfg.throw_in_min and distances.max() <= cfg.throw_in_max
     assert 0.9 < distances.mean() < 1.1  # uniform [0.5, 1.5] has mean 1.0
@@ -342,9 +343,9 @@ def test_throw_in_distance_distribution():
 def test_throw_in_noop_when_ball_in_bounds():
     cfg = EnvConfig().fixed_pitch()
     state = make_state(cfg, FAR_CORNERS, [1.0, 1.0])
-    new_state, events = env.throw_in(cfg, state)
-    assert events == [{"kind": "throw_in_noop"}]
-    np.testing.assert_array_equal(new_state.ball_pos, state.ball_pos)
+    out = env.step(cfg, state, np.zeros((4, 3)))
+    assert not any(e["kind"] == "throw_in" for e in out.events)
+    np.testing.assert_array_equal(out.state.ball_pos, state.ball_pos)
 
 
 # ---- shaping rewards ---------------------------------------------------------
@@ -378,6 +379,13 @@ def test_stationary_world_has_zero_shaping():
 # ---- mirror symmetry ----------------------------------------------------------
 
 
+def mirror_actions(actions: np.ndarray) -> np.ndarray:
+    """Action counterpart of env.mirror_state: turn flips, drive and kick stay."""
+    acts = np.asarray(actions, dtype=float).copy()
+    acts[:, 1] *= -1.0
+    return acts
+
+
 def test_mirror_step_commutes_and_maps_rewards():
     cfg = EnvConfig().fixed_pitch()
     rng = np.random.default_rng(3)
@@ -388,7 +396,7 @@ def test_mirror_step_commutes_and_maps_rewards():
     acts[:, 2] = np.abs(acts[:, 2])
 
     out = env.step(cfg, state, acts)
-    mirrored_out = env.step(cfg, env.mirror_state(state, "x"), env.mirror_actions(acts))
+    mirrored_out = env.step(cfg, env.mirror_state(state, "x"), mirror_actions(acts))
     expect_state = env.mirror_state(out.state, "x")
 
     np.testing.assert_allclose(mirrored_out.state.player_pos, expect_state.player_pos, atol=1e-9)

@@ -1,4 +1,6 @@
 """LSTM cell semantics, Gaussian closed forms, Adam arithmetic, checkpoints."""
+import io
+
 import numpy as np
 import pytest
 
@@ -238,19 +240,22 @@ def test_adam_key_mismatch_rejected():
 # ---- ParamSet serialisation -------------------------------------------
 
 
-def test_paramset_roundtrip_bitwise(tmp_path):
+def test_paramset_roundtrip_bitwise():
     rng = np.random.default_rng(7)
     ps = ParamSet({"a.w": rng.normal(size=(3, 5)), "a.b": rng.normal(size=(5,)), "s": np.array(2.5)})
     ps.version = 17
-    path = tmp_path / "block.bin"
-    ps.save(path)
-    back = ParamSet.load(path)
+    buf = io.BytesIO()
+    ps.write_block(buf)
+    raw = buf.getvalue()
+    back = ParamSet.read_block(io.BytesIO(raw))
     assert back.version == 17
     assert set(back.arrays) == set(ps.arrays)
     for k in ps.arrays:
         assert back.arrays[k].tobytes() == ps.arrays[k].tobytes()
     # emit -> parse -> emit must reproduce the bytes exactly
-    assert back.to_bytes() == ps.to_bytes()
+    again = io.BytesIO()
+    back.write_block(again)
+    assert again.getvalue() == raw
 
 
 def test_paramset_version_increases_on_update():
@@ -263,11 +268,9 @@ def test_paramset_version_increases_on_update():
     assert versions == sorted(versions) and len(set(versions)) == 4
 
 
-def test_paramset_rejects_corrupt_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXX" + b"\x00" * 16)
+def test_paramset_rejects_corrupt_magic():
     with pytest.raises(ValueError):
-        ParamSet.load(path)
+        ParamSet.read_block(io.BytesIO(b"XXXX" + b"\x00" * 16))
 
 
 def test_paramset_copy_from_requires_matching_names():
