@@ -333,12 +333,8 @@ def run_probe(
     Every episode restarts from the fixed probe layout (`side` selects the
     mirrored variant) with all four players driven by the entrant's policy;
     only the action noise varies between episodes. Counts include both
-    teams' events. `entrant` is an evaluation.Entrant or a checkpoint path.
+    teams' events. `entrant` is an evaluation.Entrant.
     """
-    if not hasattr(entrant, "policy_net"):
-        from .evaluation import load_entrant
-
-        entrant = load_entrant(entrant)
     if env_config is None:
         env_config = EnvConfig().fixed_pitch()
     actors = [MatchActor(policy_net=entrant.policy_net, policy=entrant.policy) for _ in range(N_PLAYERS)]

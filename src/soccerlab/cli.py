@@ -42,7 +42,7 @@ from .evaluation import (
     run_tournament,
 )
 from .learner import Learner
-from .pbt import PopulationAgent, Trainer
+from .pbt import TRAINER_STATE, PopulationAgent, Trainer
 from .rollout import MatchActor, play_match
 from .runconfig import RunConfig, build_population, load_run_config
 from .seeding import derive_seed
@@ -159,6 +159,7 @@ def cmd_train(args) -> int:
         run_dir = _resolve_out(args.out)
         config = _load_config(_read_json(run_dir / "config.json", "run config"), args.set)
         agents = _restore_population(config, run_dir)
+        trainer_state = _read_json(run_dir / TRAINER_STATE, "trainer state")
     else:
         file_obj = _read_json(Path(args.config), "config file") if args.config else None
         config = _load_config(file_obj, args.set)
@@ -170,6 +171,7 @@ def cmd_train(args) -> int:
             raise DataError(f"output directory already exists: {run_dir} (use --resume)")
         run_dir.mkdir(parents=True)
         agents = build_population(config)
+        trainer_state = None
 
     _write_json(run_dir / "config.json", config.to_json())
     _write_json(
@@ -185,6 +187,11 @@ def cmd_train(args) -> int:
         out_dir=run_dir,
         checkpoint_every=config.checkpoint_every,
     )
+    if trainer_state is not None:
+        try:
+            trainer.restore(trainer_state)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"cannot restore {run_dir / TRAINER_STATE}: {exc!r}")
     summary = trainer.run(config.frame_budget, max_matches=config.max_matches or None)
     _write_json(run_dir / "summary.json", summary)
     print(run_dir)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp, softmax
 
 from . import records
@@ -236,26 +237,6 @@ def _elo_hessian(r: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.diag(np.sum(w, axis=1)) - w
 
 
-def _components(counts: np.ndarray) -> list[list[int]]:
-    n = counts.shape[0]
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue, component = [start], []
-        seen[start] = True
-        while queue:
-            node = queue.pop()
-            component.append(node)
-            for other in np.flatnonzero(counts[node] > 0):
-                if not seen[other]:
-                    seen[other] = True
-                    queue.append(int(other))
-        components.append(sorted(component))
-    return components
-
-
 def fit_elo_scores(
     scores, counts, anchor: float = 1000.0, grad_tol: float = 1e-8
 ) -> np.ndarray:
@@ -278,7 +259,8 @@ def fit_elo_scores(
     if np.any(np.diag(counts) != 0):
         raise ValueError("self-matches are not ratable")
 
-    components = _components(counts)
+    n_components, labels = connected_components(counts > 0, directed=False)
+    components = [np.flatnonzero(labels == k) for k in range(n_components)]
     if len(components) > 1:
         warnings.warn("comparison graph is disconnected; anchoring each component separately")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import records
 from .env import ACTION_DIM, CHANNEL_NAMES, N_CHANNELS, OBS_DIM
-from .netcore import AdamState, ParamSet, Tensor, adam_step, collect_grads, gaussian, stack, wrap_leaves
+from .netcore import AdamState, ParamSet, Tensor, adam_step, collect_grads, gaussian, wrap_leaves
 from .nets import ArchSpec, CriticNet, PolicyNet, load_checkpoint, save_checkpoint
 
 # Evolvable knobs, in the order used by cross-over masks and mutation draws.
@@ -105,7 +105,6 @@ class TrajectorySnippet:
     terminal: bool  # episode ended immediately after the last step
     policy_state0: tuple[np.ndarray, np.ndarray] | None = None
     critic_state0: tuple[np.ndarray, np.ndarray] | None = None
-    behavior_id: str = ""
 
     def __post_init__(self):
         if self.observations.shape != (len(self), OBS_DIM):
@@ -128,7 +127,6 @@ def partition_episode(
     snippet_length: int,
     policy_states: list | None = None,
     critic_states: list | None = None,
-    behavior_id: str = "",
 ) -> list[TrajectorySnippet]:
     """Cut one episode into fixed-length snippets, anchored at the episode end
     so the terminal reward is always covered; a leading remainder shorter than
@@ -156,7 +154,6 @@ def partition_episode(
                 terminal=bool(terminal and end == total),
                 policy_state0=_state_at(policy_states, start),
                 critic_state0=_state_at(critic_states, start),
-                behavior_id=behavior_id,
             )
         )
     return snippets
@@ -328,26 +325,45 @@ def _stack_states(states: list) -> tuple[np.ndarray, np.ndarray] | None:
     )
 
 
-def _unroll(net, params: dict, seqs: tuple, state0) -> tuple[tuple, list | None]:
+def _arrays(params: dict) -> dict:
+    """The plain arrays of `params`, which may be wrap_leaves() leaves."""
+    return {name: p.data if isinstance(p, Tensor) else p for name, p in params.items()}
+
+
+def _unroll(net, params: dict, seqs: tuple, state0) -> tuple[tuple, list | None, object]:
     """Run `net` over its [B, T, ...] input sequences `seqs`.
 
-    Returns the outputs stacked to [B, T, ...] (arrays, or Tensors when
-    `params` are autodiff leaves) and, for a recurrent net, the T+1 states
-    before each step: index t primes a query at x_t, the last one a query
-    at the observation after the sequence.  A feedforward net has no state
-    and runs as one flat call.
+    Returns the outputs stacked to [B, T, ...]; for a recurrent net, the
+    T+1 states before each step (index t primes a query at x_t, the last
+    one a query at the observation after the sequence); and the caches
+    `_unroll_backward` needs.  A feedforward net has no state and runs as
+    one flat call.
     """
     batch, horizon = seqs[0].shape[:2]
     if not net.arch.recurrent:
-        *outs, _ = net.forward(params, *(x.reshape(batch * horizon, -1) for x in seqs))
-        return tuple(out.reshape(batch, horizon, -1) for out in outs), None
+        outs, _, cache = net.forward(params, *(x.reshape(batch * horizon, -1) for x in seqs))
+        return tuple(out.reshape(batch, horizon, -1) for out in outs), None, cache
     state = state0 if state0 is not None else net.zero_state(batch)
-    states, steps = [state], []
+    states, steps, caches = [state], [], []
     for t in range(horizon):
-        *outs, state = net.forward(params, *(x[:, t] for x in seqs), state)
+        outs, state, cache = net.forward(params, *(x[:, t] for x in seqs), state)
         steps.append(outs)
         states.append(state)
-    return tuple(stack(outs, axis=1) for outs in zip(*steps)), states
+        caches.append(cache)
+    return tuple(np.stack(outs, axis=1) for outs in zip(*steps)), states, caches
+
+
+def _unroll_backward(net, params: dict, caches, d_outs: tuple, grads: dict) -> None:
+    """Add to `grads` the parameter gradients of an `_unroll` whose stacked
+    outputs have the gradients `d_outs`: back-propagation through time for
+    a recurrent net, one flat call for a feedforward one."""
+    batch, horizon = d_outs[0].shape[:2]
+    if not net.arch.recurrent:
+        net.backward(params, caches, tuple(d.reshape(batch * horizon, -1) for d in d_outs), None, grads)
+        return
+    d_state = None
+    for t in range(horizon - 1, -1, -1):
+        _, d_state = net.backward(params, caches[t], tuple(d[:, t] for d in d_outs), d_state, grads)
 
 
 def _rows(x: np.ndarray, samples: int) -> np.ndarray:
@@ -357,14 +373,15 @@ def _rows(x: np.ndarray, samples: int) -> np.ndarray:
 
 def _critic_at(net: CriticNet, params: dict, obs_seq: np.ndarray, actions, query_states: list | None):
     """Critic values at `actions` [S, B, T, act] taken at the observations
-    `obs_seq` [B, T, obs], as [S, B, T, heads], in one forward call.  A
-    recurrent critic is primed at step t by `query_states[t]`, held constant."""
+    `obs_seq` [B, T, obs], as [S, B, T, heads], in one forward call, and
+    that call's cache.  A recurrent critic is primed at step t by
+    `query_states[t]`, held constant."""
     samples = actions.shape[0]
     state = None
     if query_states is not None:
         state = tuple(_rows(np.stack(part, axis=1), samples) for part in zip(*query_states))
-    q, _ = net.forward(params, _rows(obs_seq, samples), actions.reshape(-1, ACTION_DIM), state)
-    return q.reshape(*actions.shape[:3], -1)
+    (q,), _, cache = net.forward(params, _rows(obs_seq, samples), actions.reshape(-1, ACTION_DIM), state)
+    return q.reshape(*actions.shape[:3], -1), cache
 
 
 class Learner:
@@ -425,7 +442,7 @@ class Learner:
     def retrace_targets(self, batch: _Batch) -> tuple[np.ndarray, dict]:
         """Per-step per-channel targets from the target networks, with
         truncated importance ratios computed under the online policy."""
-        (mean_on, stddev_on), _ = _unroll(
+        (mean_on, stddev_on), _, _ = _unroll(
             self.policy_net, self.policy.arrays, (batch.observations,), batch.policy_state0
         )
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -441,9 +458,9 @@ class Learner:
         # Distributions of the target policy at x_1 .. x_T, with correct
         # recurrent state: one unroll over the extended sequence.
         extended = np.concatenate([batch.observations, batch.final_observation[:, None]], axis=1)
-        (mean_tp, stddev_tp), _ = _unroll(self.policy_net, self.policy_target.arrays, (extended,), batch.policy_state0)
+        (mean_tp, stddev_tp), _, _ = _unroll(self.policy_net, self.policy_target.arrays, (extended,), batch.policy_state0)
         critic = self.critic_target.arrays
-        (q_behavior,), states = _unroll(
+        (q_behavior,), states, _ = _unroll(
             self.critic_net, critic, (batch.observations, batch.actions), batch.critic_state0
         )
         noise = self.rng.standard_normal((self.config.expectation_samples, batch.batch, batch.horizon, ACTION_DIM))
@@ -451,7 +468,7 @@ class Learner:
         # The behavior unroll's state before consuming x_{t+1} primes the
         # sampled-action query there.
         query_states = None if states is None else states[1:]
-        q_next = _critic_at(self.critic_net, critic, extended[:, 1:], sampled, query_states)
+        q_next, _ = _critic_at(self.critic_net, critic, extended[:, 1:], sampled, query_states)
         next_expected_q = q_next.mean(axis=0)
         next_expected_q[batch.terminal, -1] = 0.0
 
@@ -481,9 +498,19 @@ class Learner:
 
     def critic_loss(self, leaves: dict, batch: _Batch, targets: np.ndarray) -> Tensor:
         """Mean over batch and time of the squared error, summed over channels."""
-        (q_pred,), _ = _unroll(self.critic_net, leaves, (batch.observations, batch.actions), batch.critic_state0)
+        params = _arrays(leaves)
+        (q_pred,), _, caches = _unroll(
+            self.critic_net, params, (batch.observations, batch.actions), batch.critic_state0
+        )
         err = q_pred - targets
-        return (err * err).sum(axis=2).mean()
+        scale = 1.0 / (batch.batch * batch.horizon)
+
+        def grads_of() -> dict:
+            grads: dict = {}
+            _unroll_backward(self.critic_net, params, caches, ((2.0 * scale) * err,), grads)
+            return grads
+
+        return Tensor((err * err).sum(axis=2).sum() * scale, leaves, grads_of)
 
     def critic_update(self, batch: _Batch, targets: np.ndarray) -> dict:
         def loss_of(leaves):
@@ -495,22 +522,40 @@ class Learner:
     def policy_loss(self, leaves: dict, critic: dict, batch: _Batch, noise: np.ndarray) -> tuple[Tensor, dict]:
         """Negated surrogate: combined critic value at reparameterized actions
         plus the entropy bonus; `noise` is [samples, B, T, act].  `critic`
-        is this learner's critic: its plain arrays, which hold it constant,
-        or leaves wrapped around them, which also collect its gradients."""
-        (mean, stddev), _ = _unroll(self.policy_net, leaves, (batch.observations,), batch.policy_state0)
-        entropy = gaussian.entropy(stddev).mean()
+        is this learner's critic, as plain arrays or as leaves; either way
+        it is held constant, and the loss differentiates through it to the
+        action only."""
+        params = _arrays(leaves)
+        (mean, stddev), _, policy_caches = _unroll(
+            self.policy_net, params, (batch.observations,), batch.policy_state0
+        )
+        entropy_scale = 1.0 / (batch.batch * batch.horizon)
+        entropy = gaussian.entropy(stddev).sum() * entropy_scale
         query_states = None
         if self.critic_net.arch.recurrent:
             # Query states replay the behavior unroll and are held constant.
-            _, states = _unroll(
+            _, states, _ = _unroll(
                 self.critic_net, self.critic.arrays, (batch.observations, batch.actions), batch.critic_state0
             )
             query_states = states[:-1]
-        q = _critic_at(self.critic_net, critic, batch.observations, mean + stddev * noise, query_states)
-        value = (q * self._policy_weights()).sum(axis=-1).mean()
-        objective = value + self.hyperparams.entropy_cost * entropy
-        info = {"policy_value": float(value.data), "entropy": float(entropy.data)}
-        return -objective, info
+        critic = _arrays(critic)
+        q, critic_cache = _critic_at(self.critic_net, critic, batch.observations, mean + stddev * noise, query_states)
+        weights = self._policy_weights()
+        value_scale = 1.0 / (noise.shape[0] * batch.batch * batch.horizon)
+        value = (q * weights).sum(axis=-1).sum() * value_scale
+        entropy_cost = self.hyperparams.entropy_cost
+
+        def grads_of() -> dict:
+            d_q = np.broadcast_to(-value_scale * weights, q.shape).reshape(-1, q.shape[-1])
+            d_action, _ = self.critic_net.backward(critic, critic_cache, (d_q,), None, None)
+            d_sampled = d_action.reshape(noise.shape)
+            d_stddev = (d_sampled * noise).sum(axis=0) + (-entropy_cost * entropy_scale) / stddev
+            grads: dict = {}
+            _unroll_backward(self.policy_net, params, policy_caches, (d_sampled.sum(axis=0), d_stddev), grads)
+            return grads
+
+        loss = Tensor(-(value + entropy_cost * entropy), leaves, grads_of)
+        return loss, {"policy_value": float(value), "entropy": float(entropy)}
 
     def policy_update(self, batch: _Batch) -> dict:
         noise = self.rng.standard_normal((self.config.policy_samples, batch.batch, batch.horizon, ACTION_DIM))

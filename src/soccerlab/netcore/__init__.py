@@ -1,18 +1,22 @@
-"""Float64 tensor math, autodiff, Gaussian ops, Adam and checkpoint blocks."""
+"""Float64 layers with their backward passes, Gaussian ops, Adam, gradient
+slots for the losses and checkpoint blocks."""
 
 from . import gaussian
 from .adam import AdamState, adam_step
-from .autodiff import Tensor, amax, amin, concat, elu, mean, softplus, stack
+from .autodiff import Tensor, collect_grads, wrap_leaves
 from .layers import (
-    collect_grads,
+    elu,
+    elu_backward,
     linear,
+    linear_backward,
     linear_params,
     lstm_params,
     lstm_step,
+    lstm_step_backward,
     mlp_elu,
+    mlp_elu_backward,
     mlp_params,
     uniform_init,
-    wrap_leaves,
     zero_state,
 )
 from .params import ParamSet
@@ -22,21 +26,19 @@ __all__ = [
     "ParamSet",
     "Tensor",
     "adam_step",
-    "amax",
-    "amin",
     "collect_grads",
-    "concat",
     "elu",
+    "elu_backward",
     "gaussian",
     "linear",
+    "linear_backward",
     "linear_params",
     "lstm_params",
     "lstm_step",
-    "mean",
+    "lstm_step_backward",
     "mlp_elu",
+    "mlp_elu_backward",
     "mlp_params",
-    "softplus",
-    "stack",
     "uniform_init",
     "wrap_leaves",
     "zero_state",

@@ -9,12 +9,13 @@ layer or an LSTM cell, selected per net.  The policy emits a diagonal
 Gaussian (stddev through softplus plus a floor); the critic appends the
 action after the encoder and emits one value per reward channel.
 
-Parameters are flat name->array ParamSets.  `forward` is the one definition
-of each net: given the plain arrays it runs numpy and returns arrays (that is
-all `apply` does), and given autodiff leaves from `wrap_leaves` it returns
-Tensors to backpropagate through.  The module also defines the agent
-checkpoint container: a JSON meta record plus named ParamSet blocks in one
-file.
+Parameters are flat name->array ParamSets.  Each net has one `forward` on
+plain arrays, which returns its outputs, its new recurrent state and a
+cache; `backward` maps the gradients of those outputs and of that state
+back to the incoming state (and, for the critic, the action) and adds the
+parameter gradients into a dict when it is given one.  `apply` is `forward`
+without the cache.  The module also defines the agent checkpoint container:
+a JSON meta record plus named ParamSet blocks in one file.
 """
 from __future__ import annotations
 
@@ -29,19 +30,17 @@ from . import records
 from .env import ACTION_DIM, OBS_DIM
 from .netcore import (
     ParamSet,
-    amax,
-    amin,
-    concat,
     elu,
+    elu_backward,
     linear,
+    linear_backward,
     linear_params,
     lstm_params,
     lstm_step,
-    mean,
+    lstm_step_backward,
     mlp_elu,
+    mlp_elu_backward,
     mlp_params,
-    softplus,
-    stack,
 )
 from .netcore import zero_state as _lstm_zero_state
 
@@ -86,17 +85,37 @@ def desk_arch(recurrent: bool = False) -> ArchSpec:
     return ArchSpec(embed_sizes=(24, 12), trunk_sizes=(64, 64), core_size=64, recurrent=recurrent)
 
 
-def _encode(params: dict, obs, n_embed_layers: int):
-    """Shared-embedding joint pool; output [batch, NONPLAYER_DIM + 3*embed]."""
+def _encode(params: dict, obs: np.ndarray, n_embed_layers: int) -> tuple:
+    """Shared-embedding joint pool; returns the features [batch,
+    NONPLAYER_DIM + 3*embed] and the cache `_encode_backward` needs."""
     nonplayer = obs[:, :NONPLAYER_DIM]
-    embeds = []
+    blocks, embeds = [], []
     for k in range(N_OTHER_PLAYERS):
         lo = NONPLAYER_DIM + k * PLAYER_BLOCK_DIM
-        block = obs[:, lo : lo + PLAYER_BLOCK_DIM]
-        embeds.append(mlp_elu(params, "embed", block, n_embed_layers))
-    stacked = stack(embeds, axis=0)
-    pooled = concat([amax(stacked, axis=0), amin(stacked, axis=0), mean(stacked, axis=0)], axis=-1)
-    return concat([nonplayer, pooled], axis=-1)
+        blocks.append(obs[:, lo : lo + PLAYER_BLOCK_DIM])
+        embeds.append(mlp_elu(params, "embed", blocks[-1], n_embed_layers))
+    stacked = np.stack([outs[-1] for outs in embeds], axis=0)
+    first_max = np.argmax(stacked, axis=0)[None]
+    first_min = np.argmin(stacked, axis=0)[None]
+    pooled = [
+        np.take_along_axis(stacked, first_max, 0)[0],
+        np.take_along_axis(stacked, first_min, 0)[0],
+        stacked.sum(axis=0) * (1.0 / N_OTHER_PLAYERS),
+    ]
+    return np.concatenate([nonplayer, *pooled], axis=-1), (blocks, embeds, first_max, first_min)
+
+
+def _encode_backward(params: dict, cache: tuple, d_features: np.ndarray, grads: dict) -> None:
+    """Add the embedding's parameter gradients to `grads`.  The max and min
+    gradients go to the first block that attains the extreme, the mean's
+    to every block in thirds."""
+    blocks, embeds, first_max, first_min = cache
+    d_max, d_min, d_mean = np.split(d_features[:, NONPLAYER_DIM:], 3, axis=-1)
+    d_stacked = np.repeat(d_mean[None] * (1.0 / N_OTHER_PLAYERS), N_OTHER_PLAYERS, axis=0)
+    for first, d_extreme in ((first_max, d_max), (first_min, d_min)):
+        np.put_along_axis(d_stacked, first, np.take_along_axis(d_stacked, first, 0) + d_extreme, 0)
+    for block, outs, d_embed in zip(blocks, embeds, d_stacked):
+        mlp_elu_backward(params, "embed", block, outs, d_embed, grads)
 
 
 def _core_params(rng: np.random.Generator, arch: ArchSpec) -> dict[str, np.ndarray]:
@@ -106,12 +125,22 @@ def _core_params(rng: np.random.Generator, arch: ArchSpec) -> dict[str, np.ndarr
     return linear_params(rng, n_in, arch.core_size, "core")
 
 
-def _core_forward(params: dict, arch: ArchSpec, h, state) -> tuple:
+def _core_forward(params: dict, arch: ArchSpec, x: np.ndarray, state) -> tuple:
+    """(output, new_state, cache) of the core layer."""
     if arch.recurrent:
         if state is None:
-            state = _lstm_zero_state(h.shape[0], arch.core_size)
-        return lstm_step(params, "core", h, state, arch.core_size)
-    return elu(linear(params, "core", h)), None
+            state = _lstm_zero_state(x.shape[0], arch.core_size)
+        return lstm_step(params, "core", x, state, arch.core_size)
+    out = elu(linear(params, "core", x))
+    return out, None, (x, out)
+
+
+def _core_backward(params: dict, arch: ArchSpec, cache: tuple, d_out: np.ndarray, d_state, grads) -> tuple:
+    """(gradient at the core's input, gradient at its incoming state)."""
+    if arch.recurrent:
+        return lstm_step_backward(params, "core", cache, d_out, d_state, grads)
+    x, out = cache
+    return linear_backward(params, "core", x, elu_backward(out, d_out), grads), None
 
 
 class PolicyNet:
@@ -137,15 +166,31 @@ class PolicyNet:
             return _lstm_zero_state(batch, self.arch.core_size)
         return None
 
-    def forward(self, params: dict, obs, state=None) -> tuple:
-        """(mean, stddev, new_state); Tensors where any input is a Tensor."""
+    def forward(self, params: dict, obs: np.ndarray, state=None) -> tuple:
+        """((mean, stddev), new_state, cache)."""
         arch = self.arch
-        encoded = _encode(params, obs, len(arch.embed_sizes))
-        h = mlp_elu(params, "trunk", encoded, len(arch.trunk_sizes))
-        core, new_state = _core_forward(params, arch, h, state)
+        encoded, encode_cache = _encode(params, obs, len(arch.embed_sizes))
+        trunk = mlp_elu(params, "trunk", encoded, len(arch.trunk_sizes))
+        core, new_state, core_cache = _core_forward(params, arch, trunk[-1], state)
         mean = linear(params, "mean", core)
-        stddev = softplus(linear(params, "stddev", core)) + self.stddev_floor
-        return mean, stddev, new_state
+        pre_stddev = linear(params, "stddev", core)
+        stddev = np.logaddexp(0.0, pre_stddev) + self.stddev_floor
+        return (mean, stddev), new_state, (encode_cache, encoded, trunk, core_cache, core, pre_stddev)
+
+    def backward(self, params: dict, cache: tuple, d_outs: tuple, d_state, grads: dict | None) -> tuple:
+        """(None, gradient at the incoming state) from the gradients of
+        forward()'s (mean, stddev) and new state; parameter gradients are
+        added to `grads`."""
+        encode_cache, encoded, trunk, core_cache, core, pre_stddev = cache
+        d_mean, d_stddev = d_outs
+        d_pre_stddev = d_stddev / (1.0 + np.exp(-pre_stddev))
+        d_core = linear_backward(params, "mean", core, d_mean, grads) + linear_backward(
+            params, "stddev", core, d_pre_stddev, grads
+        )
+        d_trunk, d_state_in = _core_backward(params, self.arch, core_cache, d_core, d_state, grads)
+        d_encoded = mlp_elu_backward(params, "trunk", encoded, trunk, d_trunk, grads)
+        _encode_backward(params, encode_cache, d_encoded, grads)
+        return None, d_state_in
 
     def apply(
         self,
@@ -153,8 +198,9 @@ class PolicyNet:
         obs: np.ndarray,
         state=None,
     ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-        """Inference path: plain arrays in, plain arrays out, no graph kept."""
-        return self.forward(params.arrays, obs, state)
+        """Inference path: plain arrays in, (mean, stddev, new_state) out."""
+        (mean, stddev), new_state, _ = self.forward(params.arrays, obs, state)
+        return mean, stddev, new_state
 
 
 class CriticNet:
@@ -180,13 +226,27 @@ class CriticNet:
             return _lstm_zero_state(batch, self.arch.core_size)
         return None
 
-    def forward(self, params: dict, obs, action, state=None) -> tuple:
-        """(q, new_state); Tensors where any input is a Tensor."""
+    def forward(self, params: dict, obs: np.ndarray, action: np.ndarray, state=None) -> tuple:
+        """((q,), new_state, cache)."""
         arch = self.arch
-        encoded = _encode(params, obs, len(arch.embed_sizes))
-        h = mlp_elu(params, "trunk", concat([encoded, action], axis=-1), len(arch.trunk_sizes))
-        core, new_state = _core_forward(params, arch, h, state)
-        return linear(params, "q", core), new_state
+        encoded, encode_cache = _encode(params, obs, len(arch.embed_sizes))
+        trunk_in = np.concatenate([encoded, action], axis=-1)
+        trunk = mlp_elu(params, "trunk", trunk_in, len(arch.trunk_sizes))
+        core, new_state, core_cache = _core_forward(params, arch, trunk[-1], state)
+        return (linear(params, "q", core),), new_state, (encode_cache, trunk_in, trunk, core_cache, core)
+
+    def backward(self, params: dict, cache: tuple, d_outs: tuple, d_state, grads: dict | None) -> tuple:
+        """(gradient at the action, gradient at the incoming state) from the
+        gradients of forward()'s (q,) and new state.  Parameter gradients
+        are added to `grads`; with `grads=None` the encoder is skipped."""
+        encode_cache, trunk_in, trunk, core_cache, core = cache
+        (d_q,) = d_outs
+        d_core = linear_backward(params, "q", core, d_q, grads)
+        d_trunk, d_state_in = _core_backward(params, self.arch, core_cache, d_core, d_state, grads)
+        d_trunk_in = mlp_elu_backward(params, "trunk", trunk_in, trunk, d_trunk, grads)
+        if grads is not None:
+            _encode_backward(params, encode_cache, d_trunk_in[:, : self.arch.encoder_dim], grads)
+        return d_trunk_in[:, self.arch.encoder_dim :], d_state_in
 
     def apply(
         self,
@@ -195,7 +255,8 @@ class CriticNet:
         action: np.ndarray,
         state=None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-        return self.forward(params.arrays, obs, action, state)
+        (q,), new_state, _ = self.forward(params.arrays, obs, action, state)
+        return q, new_state
 
 
 # Checkpoint container: magic, u64 format version, canonical JSON meta, then

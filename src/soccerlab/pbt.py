@@ -231,6 +231,10 @@ class _NdjsonLog:
             self._fh = None
 
 
+# Written beside the checkpoints at every sweep, for `train --resume`.
+TRAINER_STATE = "trainer.json"
+
+
 class Trainer:
     """Single-threaded population training: play a match, feed replay, update
     ratings, step every learner, then run evolution checks."""
@@ -361,6 +365,8 @@ class Trainer:
             self.evolution_log.write(record)
 
     def save_checkpoints(self) -> None:
+        """Write every agent's checkpoint, then `TRAINER_STATE`: the counters
+        and the scheduler's random stream that `restore` continues."""
         if self.out_dir is None:
             return
         for agent in self.agents:
@@ -373,6 +379,21 @@ class Trainer:
                     "evolved_mark": agent.evolved_mark,
                 },
             )
+        state = {
+            "matches_played": self.matches_played,
+            "matches_discarded": self.matches_discarded,
+            "evolutions": self.evolutions,
+            "rng": self.rng.bit_generator.state,
+        }
+        (self.out_dir / TRAINER_STATE).write_text(json.dumps(state, sort_keys=True) + "\n", encoding="utf-8")
+
+    def restore(self, state: dict) -> None:
+        """Continue from a `TRAINER_STATE` record: match numbering, the
+        discard and evolution counts, and the scheduler's seed stream."""
+        self.matches_played = int(state["matches_played"])
+        self.matches_discarded = int(state["matches_discarded"])
+        self.evolutions = int(state["evolutions"])
+        self.rng.bit_generator.state = state["rng"]
 
     def run(self, frame_budget: int, max_matches: int | None = None) -> dict:
         """Train until every agent has learned from `frame_budget` frames."""

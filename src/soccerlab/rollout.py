@@ -51,7 +51,6 @@ class PlayerTrajectory:
     terminal: bool
     policy_states: list | None
     critic_states: list | None
-    agent_id: str = ""
 
     def snippets(self, snippet_length: int) -> list[TrajectorySnippet]:
         return partition_episode(
@@ -65,7 +64,6 @@ class PlayerTrajectory:
             snippet_length,
             policy_states=self.policy_states,
             critic_states=self.critic_states,
-            behavior_id=self.agent_id,
         )
 
 
@@ -165,7 +163,6 @@ def play_match(
                 terminal=bool(state.terminal),
                 policy_states=pstate_log[i] if pstate_log[i] else None,
                 critic_states=cstate_log[i] if cstate_log[i] else None,
-                agent_id=actors[i].agent_id,
             )
             for i in range(N_PLAYERS)
         ]

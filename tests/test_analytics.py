@@ -14,7 +14,7 @@ from soccerlab.learner import AgentHyperparams, Learner, LearnerConfig
 from soccerlab.netcore import ParamSet
 from soccerlab.nets import ArchSpec, CriticNet, PolicyNet
 from soccerlab.rollout import MatchActor, MatchResult, play_match
-from soccerlab.evaluation import Entrant
+from soccerlab.evaluation import Entrant, load_entrant
 from soccerlab.analytics import (
     SUBSETS,
     BehaviorStats,
@@ -332,7 +332,7 @@ def test_probe_loads_checkpoints_from_disk(tmp_path):
     )
     path = tmp_path / "agent.ckpt"
     learner.save(path)
-    counts = run_probe(path, "right", episodes=1, horizon=10)
+    counts = run_probe(load_entrant(path), "right", episodes=1, horizon=10)
     assert len(counts) == 2
 
 

@@ -1,4 +1,6 @@
-"""Gradient soundness of the tensor core against central finite differences."""
+"""Gradient soundness against central finite differences: the reference
+graph's ops (tests/reference_graph.py), each layer's backward pass, and the
+nets' backward passes against the reference graph."""
 import gc
 
 import numpy as np
@@ -6,7 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soccerlab.netcore import Tensor, autodiff, concat, stack
+from soccerlab.env import ACTION_DIM, OBS_DIM
+from soccerlab.netcore import (
+    elu,
+    elu_backward,
+    linear,
+    linear_backward,
+    linear_params,
+    mlp_elu,
+    mlp_elu_backward,
+    mlp_params,
+)
+from soccerlab.nets import NONPLAYER_DIM, PLAYER_BLOCK_DIM, ArchSpec, CriticNet, PolicyNet, _encode, _encode_backward
+from tests import reference_graph as graph
+from tests.reference_graph import Tensor, concat, stack
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -131,24 +146,24 @@ def test_matmul_shape_mismatch_rejected():
 
 
 PLAIN_OPS = [
-    ("add", lambda x: autodiff.add(x, 1.5)),
-    ("sub", lambda x: autodiff.sub(x, x)),
-    ("mul", lambda x: autodiff.mul(x, x)),
-    ("div", lambda x: autodiff.div(1.0, x * x + 1.0)),
-    ("power", lambda x: autodiff.power(x, 2)),
-    ("matmul", lambda x: autodiff.matmul(x, np.linspace(-1.0, 1.0, 10).reshape(5, 2))),
-    ("exp", autodiff.exp),
-    ("log", lambda x: autodiff.log(x * x + 0.5)),
-    ("tanh", autodiff.tanh),
-    ("sigmoid", autodiff.sigmoid),
-    ("elu", autodiff.elu),
-    ("softplus", autodiff.softplus),
-    ("sum", lambda x: autodiff.reduce_sum(x, axis=1)),
-    ("mean", lambda x: autodiff.mean(x, axis=0)),
-    ("amax", lambda x: autodiff.amax(x, axis=1)),
-    ("amin", lambda x: autodiff.amin(x, axis=1)),
-    ("reshape", lambda x: autodiff.reshape(x, -1)),
-    ("getitem", lambda x: autodiff.getitem(x, (slice(None), slice(1, 3)))),
+    ("add", lambda x: graph.add(x, 1.5)),
+    ("sub", lambda x: graph.sub(x, x)),
+    ("mul", lambda x: graph.mul(x, x)),
+    ("div", lambda x: graph.div(1.0, x * x + 1.0)),
+    ("power", lambda x: graph.power(x, 2)),
+    ("matmul", lambda x: graph.matmul(x, np.linspace(-1.0, 1.0, 10).reshape(5, 2))),
+    ("exp", graph.exp),
+    ("log", lambda x: graph.log(x * x + 0.5)),
+    ("tanh", graph.tanh),
+    ("sigmoid", graph.sigmoid),
+    ("elu", graph.elu),
+    ("softplus", graph.softplus),
+    ("sum", lambda x: graph.reduce_sum(x, axis=1)),
+    ("mean", lambda x: graph.mean(x, axis=0)),
+    ("amax", lambda x: graph.amax(x, axis=1)),
+    ("amin", lambda x: graph.amin(x, axis=1)),
+    ("reshape", lambda x: graph.reshape(x, -1)),
+    ("getitem", lambda x: graph.getitem(x, (slice(None), slice(1, 3)))),
     ("concat", lambda x: concat([x, x], axis=1)),
     ("stack", lambda x: stack([x, x], axis=0)),
 ]
@@ -233,3 +248,179 @@ def test_deep_graph_backward_is_iterative():
         out = out * 1.0001
     out.sum().backward()
     assert np.isfinite(t.grad).all()
+
+
+# ---- each layer's backward pass --------------------------------------------
+
+
+def assert_matches_fd(analytic: np.ndarray, loss_of, x: np.ndarray, name: str = ""):
+    """`analytic` against the central difference of the scalar loss_of(x)."""
+    fd = finite_difference(loss_of, x.copy())
+    np.testing.assert_allclose(analytic, fd, rtol=FD_RTOL, atol=1e-6, err_msg=name)
+
+
+def check_param_grads(grads: dict, params: dict, loss_of_params, names=None):
+    """Each named parameter gradient against central differences of
+    loss_of_params(params) with that one array perturbed."""
+    for name in names or params:
+
+        def loss_of(arr, name=name):
+            return loss_of_params({**params, name: arr})
+
+        assert_matches_fd(grads[name], loss_of, params[name], name)
+
+
+def test_linear_backward_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    params = linear_params(rng, 5, 3, "l")
+    x = rng.normal(size=(4, 5))
+    r = rng.normal(size=(4, 3))
+    grads = {}
+    d_x = linear_backward(params, "l", x, r, grads)
+    assert_matches_fd(d_x, lambda a: float((linear(params, "l", a) * r).sum()), x, "input")
+    check_param_grads(grads, params, lambda p: float((linear(p, "l", x) * r).sum()))
+    # Without a grads dict only the input gradient comes back.
+    np.testing.assert_array_equal(linear_backward(params, "l", x, r), d_x)
+
+
+def test_elu_backward_matches_finite_differences_on_both_signs():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(6, 5))
+    x[np.abs(x) < 0.01] = 0.5  # keep the kink out of the difference stencil
+    assert (x > 0).any() and (x < 0).any()
+    r = rng.normal(size=x.shape)
+    d_x = elu_backward(elu(x), r)
+    assert_matches_fd(d_x, lambda a: float((elu(a) * r).sum()), x)
+    # Positive inputs pass the gradient through unchanged.
+    np.testing.assert_array_equal(d_x[x > 0], r[x > 0])
+
+
+def test_mlp_elu_backward_matches_finite_differences():
+    rng = np.random.default_rng(33)
+    params = mlp_params(rng, (5, 7, 6, 3), "net")
+    x = rng.normal(size=(4, 5))
+    r = rng.normal(size=(4, 3))
+    outs = mlp_elu(params, "net", x, 3)
+    assert [o.shape for o in outs] == [(4, 7), (4, 6), (4, 3)]
+    grads = {}
+    d_x = mlp_elu_backward(params, "net", x, outs, r, grads)
+    assert_matches_fd(d_x, lambda a: float((mlp_elu(params, "net", a, 3)[-1] * r).sum()), x, "input")
+    check_param_grads(grads, params, lambda p: float((mlp_elu(p, "net", x, 3)[-1] * r).sum()))
+
+
+ARCH = ArchSpec(embed_sizes=(5, 4), trunk_sizes=(7,), core_size=6)
+ARCH_LSTM = ArchSpec(embed_sizes=(5, 4), trunk_sizes=(7,), core_size=6, recurrent=True)
+
+
+def embed_params(params: dict) -> dict:
+    return {name: arr for name, arr in params.items() if name.startswith("embed.")}
+
+
+def test_encode_backward_matches_finite_differences():
+    rng = np.random.default_rng(34)
+    params = PolicyNet(ARCH).init_params(rng).arrays
+    obs = rng.normal(size=(3, OBS_DIM))
+    features, cache = _encode(params, obs, 2)
+    r = rng.normal(size=features.shape)
+    grads = {}
+    _encode_backward(params, cache, r, grads)
+    assert set(grads) == set(embed_params(params))
+    check_param_grads(grads, params, lambda p: float((_encode(p, obs, 2)[0] * r).sum()), embed_params(params))
+
+
+def test_encode_backward_routes_tied_extremes_to_the_first_block():
+    # With the last embedding layer's weights at zero every block embeds to
+    # the same vector, so each pooled max and min is a three-way tie.
+    rng = np.random.default_rng(35)
+    params = PolicyNet(ARCH).init_params(rng).arrays
+    params["embed.1.w"] = np.zeros_like(params["embed.1.w"])
+    obs = rng.normal(size=(2, OBS_DIM))
+    features, cache = _encode(params, obs, 2)
+    d_features = rng.normal(size=features.shape)
+    grads = {}
+    _encode_backward(params, cache, d_features, grads)
+
+    d_max, d_min, d_mean = np.split(d_features[:, NONPLAYER_DIM:], 3, axis=1)
+
+    def routed_to(winner: int) -> dict:
+        """Embedding gradients with the max and min gradients sent to `winner`."""
+        routed = {}
+        for k in range(3):
+            block = obs[:, NONPLAYER_DIM + k * PLAYER_BLOCK_DIM :][:, :PLAYER_BLOCK_DIM]
+            d_embed = d_mean / 3.0 + (d_max + d_min if k == winner else 0.0)
+            mlp_elu_backward(params, "embed", block, mlp_elu(params, "embed", block, 2), d_embed, routed)
+        return routed
+
+    expected = routed_to(0)
+    for name in expected:
+        np.testing.assert_allclose(grads[name], expected[name], rtol=1e-12, atol=1e-15, err_msg=name)
+    # The blocks' hidden activations differ, so another winner gives the
+    # last layer another weight gradient.
+    assert not np.allclose(grads["embed.1.w"], routed_to(1)["embed.1.w"])
+
+
+def test_softplus_stddev_head_backward_matches_finite_differences():
+    rng = np.random.default_rng(36)
+    policy = PolicyNet(ARCH)
+    params = policy.init_params(rng).arrays
+    obs = rng.normal(size=(3, OBS_DIM))
+    (mean, stddev), _, cache = policy.forward(params, obs)
+    r = rng.normal(size=stddev.shape)
+    grads = {}
+    policy.backward(params, cache, (np.zeros_like(mean), r), None, grads)
+
+    def loss_of(p):
+        (_, stddev), _, _ = policy.forward(p, obs)
+        return float((stddev * r).sum())
+
+    check_param_grads(grads, params, loss_of, ["stddev.w", "stddev.b", "core.w", "trunk.0.b", "embed.0.w"])
+    np.testing.assert_array_equal(grads["mean.w"], 0.0)
+
+
+# ---- the nets' backward passes against the reference graph ---------------
+
+
+@pytest.mark.parametrize("arch", [ARCH, ARCH_LSTM], ids=["ff", "lstm"])
+@pytest.mark.parametrize("kind", ["policy", "critic"])
+def test_net_backward_agrees_with_the_reference_graph(kind, arch):
+    """Two carried steps of a net, every output weighted at random: the
+    parameter (and action) gradients of backward() match the reference
+    graph's to 1e-12, and the outputs match it bit for bit."""
+    rng = np.random.default_rng(37)
+    net = PolicyNet(arch) if kind == "policy" else CriticNet(arch, n_heads=3)
+    params = net.init_params(rng).arrays
+    obs = [rng.normal(size=(4, OBS_DIM)) for _ in range(2)]
+    actions = [rng.normal(size=(4, ACTION_DIM)) for _ in range(2)]
+    inputs = [(o,) if kind == "policy" else (o, a) for o, a in zip(obs, actions)]
+    n_outs = 2 if kind == "policy" else 1
+    weights = [[rng.normal(size=(4, ACTION_DIM if kind == "policy" else 3)) for _ in range(n_outs)] for _ in range(2)]
+
+    leaves = {name: Tensor(arr) for name, arr in params.items()}
+    action_leaves = [Tensor(a) for a in actions]
+    reference = graph.policy_forward if kind == "policy" else graph.critic_forward
+    state, loss, ref_outs = None, 0.0, []
+    for step in range(2):
+        args = inputs[step] if kind == "policy" else (obs[step], action_leaves[step])
+        *outs, state = reference(net, leaves, *args, state)
+        ref_outs.append(outs)
+        for out, w in zip(outs, weights[step]):
+            loss = loss + (out * w).sum()
+    loss.backward()
+
+    state, caches = None, []
+    for step in range(2):
+        outs, state, cache = net.forward(params, *inputs[step], state)
+        caches.append(cache)
+        for out, ref in zip(outs, ref_outs[step], strict=True):
+            assert out.tobytes() == ref.data.tobytes()
+    grads, d_state, d_actions = {}, None, []
+    for step in (1, 0):
+        d_action, d_state = net.backward(params, caches[step], tuple(weights[step]), d_state, grads)
+        d_actions.insert(0, d_action)
+    for name, leaf in leaves.items():
+        np.testing.assert_allclose(grads[name], leaf.grad, rtol=1e-12, atol=1e-15, err_msg=name)
+    if kind == "critic":
+        for d_action, leaf in zip(d_actions, action_leaves):
+            np.testing.assert_allclose(d_action, leaf.grad, rtol=1e-12, atol=1e-15)
+    else:
+        assert d_actions == [None, None]

@@ -274,6 +274,33 @@ class TestTrain:
         stored = json.loads((run_dir / "config.json").read_text())
         assert stored["frame_budget"] == 800
 
+    def test_resume_continues_match_numbers_and_seed_stream(self, out_root, capsys):
+        def matches(run_dir):
+            lines = (run_dir / "matches.ndjson").read_text().splitlines()
+            return [json.loads(line) for line in lines]
+
+        straight = train_tiny(out_root, "straight", budget=10**6, extra_sets=("max_matches=4",))
+        resumed = train_tiny(out_root, "resumed", budget=10**6, extra_sets=("max_matches=2",))
+        assert run("train", "--out", "resumed", "--resume", "--set", "max_matches=4") == EXIT_OK
+        records = matches(resumed)
+        numbers = [r["match"] for r in records]
+        seeds = [r["seed"] for r in records]
+        assert numbers == [1, 2, 3, 4]
+        assert len(set(seeds)) == len(seeds)
+        # No agent is eligible for evolution yet, so the scheduler draws
+        # nothing else: the resumed run plays the straight run's matches.
+        assert [(r["seed"], r["blue"], r["red"]) for r in records] == [
+            (r["seed"], r["blue"], r["red"]) for r in matches(straight)
+        ]
+        summary = json.loads((resumed / "summary.json").read_text())
+        assert summary["matches"] == 4 and summary["discarded"] == 0
+
+    def test_resume_without_trainer_state_is_data_error(self, out_root, capsys):
+        run_dir = train_tiny(out_root, "run0")
+        (run_dir / pbt.TRAINER_STATE).unlink()
+        assert run("train", "--out", "run0", "--resume") == EXIT_DATA
+        assert "trainer state" in capsys.readouterr().err
+
     def test_training_whose_matches_all_fail_is_internal_error(self, out_root, capsys, monkeypatch):
         limit = pbt.MAX_FAILED_MATCHES
         calls = {"n": 0}

@@ -7,36 +7,29 @@ import pytest
 from soccerlab.netcore import (
     AdamState,
     ParamSet,
-    Tensor,
     adam_step,
-    collect_grads,
     gaussian,
     lstm_params,
     lstm_step,
+    lstm_step_backward,
     mlp_elu,
     mlp_params,
     uniform_init,
-    wrap_leaves,
     zero_state,
 )
-from tests.test_autodiff import FD_RTOL, FD_STEP
+from tests.test_autodiff import FD_RTOL, finite_difference
 
 
 # ---- LSTM ------------------------------------------------------------
 
 
-def _lstm_leaves(arrays):
-    return {k: Tensor(v) for k, v in arrays.items()}
-
-
 def test_lstm_zero_weights_zero_state_gives_zero():
     n_in, n_h = 3, 4
     arrays = {"c.wx": np.zeros((n_in, 4 * n_h)), "c.wh": np.zeros((n_h, 4 * n_h)), "c.b": np.zeros(4 * n_h)}
-    h0 = Tensor(np.zeros((2, n_h)))
-    c0 = Tensor(np.zeros((2, n_h)))
-    out, (h, c) = lstm_step(_lstm_leaves(arrays), "c", Tensor(np.ones((2, n_in))), (h0, c0), n_h)
-    np.testing.assert_array_equal(out.data, np.zeros((2, n_h)))
-    np.testing.assert_array_equal(c.data, np.zeros((2, n_h)))
+    out, (h, c), _ = lstm_step(arrays, "c", np.ones((2, n_in)), zero_state(2, n_h), n_h)
+    np.testing.assert_array_equal(out, np.zeros((2, n_h)))
+    assert h is out
+    np.testing.assert_array_equal(c, np.zeros((2, n_h)))
 
 
 def test_lstm_saturated_gates_accumulate_tanh_of_input():
@@ -54,69 +47,63 @@ def test_lstm_saturated_gates_accumulate_tanh_of_input():
     arrays["c.b"][0 * n_h : 1 * n_h] = 50.0  # input gate -> 1
     arrays["c.b"][1 * n_h : 2 * n_h] = 50.0  # forget gate -> 1
     arrays["c.b"][3 * n_h : 4 * n_h] = 50.0  # output gate -> 1
-    leaves = _lstm_leaves(arrays)
-    state = tuple(Tensor(s) for s in zero_state(1, n_h))
+    state = zero_state(1, n_h)
     total = np.zeros((1, n_h))
     for step in range(4):
         x = rng.normal(size=(1, n_in))
-        _, state = lstm_step(leaves, "c", Tensor(x), state, n_h)
+        _, state, _ = lstm_step(arrays, "c", x, state, n_h)
         total += np.tanh(x @ wg)
-        np.testing.assert_allclose(state[1].data, total, atol=1e-12)
+        np.testing.assert_allclose(state[1], total, atol=1e-12)
 
 
 def test_lstm_five_step_bptt_matches_finite_differences():
+    """lstm_step_backward chained over five steps from a non-zero state:
+    parameter, input and initial-state gradients of sum_t |h_t|^2."""
     rng = np.random.default_rng(9)
     n_in, n_h, steps = 3, 4, 5
     arrays = lstm_params(rng, n_in, n_h, "c")
     xs = rng.normal(size=(steps, 2, n_in))
+    h0, c0 = rng.normal(size=(2, n_h)), rng.normal(size=(2, n_h))
 
-    def loss_from(arrs) -> float:
-        leaves = {k: Tensor(v) for k, v in arrs.items()}
-        state = tuple(Tensor(s) for s in zero_state(2, n_h))
-        acc = None
+    def loss_from(arrs=arrays, xs=xs, h0=h0, c0=c0) -> float:
+        state, acc = (h0, c0), 0.0
         for t in range(steps):
-            out, state = lstm_step(leaves, "c", Tensor(xs[t]), state, n_h)
-            term = (out * out).sum()
-            acc = term if acc is None else acc + term
+            out, state, _ = lstm_step(arrs, "c", xs[t], state, n_h)
+            acc += float((out * out).sum())
         return acc
 
-    leaves = {k: Tensor(v) for k, v in arrays.items()}
-    state = tuple(Tensor(s) for s in zero_state(2, n_h))
-    acc = None
+    state, caches, outs = (h0, c0), [], []
     for t in range(steps):
-        out, state = lstm_step(leaves, "c", Tensor(xs[t]), state, n_h)
-        term = (out * out).sum()
-        acc = term if acc is None else acc + term
-    acc.backward()
-    grads = collect_grads(leaves)
+        out, state, cache = lstm_step(arrays, "c", xs[t], state, n_h)
+        outs.append(out)
+        caches.append(cache)
+    grads, d_state, d_xs = {}, None, np.zeros_like(xs)
+    for t in range(steps - 1, -1, -1):
+        d_xs[t], d_state = lstm_step_backward(arrays, "c", caches[t], 2.0 * outs[t], d_state, grads)
+
+    def check(analytic, loss_of, x, name):
+        fd = finite_difference(loss_of, x.copy())
+        np.testing.assert_allclose(analytic, fd, rtol=FD_RTOL, atol=FD_RTOL, err_msg=name)
 
     for name in arrays:
-        fd = np.zeros_like(arrays[name])
-        flat_param = arrays[name].reshape(-1)
-        flat_fd = fd.reshape(-1)
-        for i in range(flat_param.size):
-            orig = flat_param[i]
-            flat_param[i] = orig + FD_STEP
-            hi = float(loss_from(arrays).data)
-            flat_param[i] = orig - FD_STEP
-            lo = float(loss_from(arrays).data)
-            flat_param[i] = orig
-            flat_fd[i] = (hi - lo) / (2.0 * FD_STEP)
-        np.testing.assert_allclose(grads[name], fd, rtol=FD_RTOL, atol=FD_RTOL)
+        check(grads[name], lambda a, name=name: loss_from({**arrays, name: a}), arrays[name], name)
+    check(d_xs, lambda a: loss_from(xs=a), xs, "inputs")
+    check(d_state[0], lambda a: loss_from(h0=a), h0, "h0")
+    check(d_state[1], lambda a: loss_from(c0=a), c0, "c0")
 
 
 def test_mlp_elu_matches_manual_composition():
     rng = np.random.default_rng(1)
     arrays = mlp_params(rng, [5, 7, 3], "net")
-    leaves = wrap_leaves(arrays)
     x = rng.normal(size=(4, 5))
-    out = mlp_elu(leaves, "net", Tensor(x), 2)
+    hidden, out = mlp_elu(arrays, "net", x, 2)
 
     def elu(v):
         return np.where(v > 0, v, np.expm1(v))
 
+    np.testing.assert_allclose(hidden, elu(x @ arrays["net.0.w"] + arrays["net.0.b"]), atol=1e-12)
     manual = elu(elu(x @ arrays["net.0.w"] + arrays["net.0.b"]) @ arrays["net.1.w"] + arrays["net.1.b"])
-    np.testing.assert_allclose(out.data, manual, atol=1e-12)
+    np.testing.assert_allclose(out, manual, atol=1e-12)
 
 
 def test_uniform_init_respects_fan_in_bound():
@@ -156,16 +143,7 @@ def test_gaussian_ops_reject_nonpositive_stddev():
     with pytest.raises(ValueError):
         gaussian.entropy(np.array([[0.0]]))
     with pytest.raises(ValueError):
-        gaussian.entropy(Tensor(np.array([[-1.0]])))
-
-
-def test_reparameterised_sample_gradient_flows_to_mean_and_std():
-    mean = Tensor(np.array([[0.1, 0.2]]))
-    std = Tensor(np.array([[0.5, 0.6]]))
-    noise = np.array([[1.5, -0.5]])
-    (mean + std * noise).sum().backward()
-    np.testing.assert_allclose(mean.grad, np.ones((1, 2)), atol=1e-12)
-    np.testing.assert_allclose(std.grad, noise, atol=1e-12)
+        gaussian.entropy(np.array([[0.5, -1.0]]))
 
 
 # ---- Adam -------------------------------------------------------------

@@ -16,8 +16,9 @@ from soccerlab.nets import (
     load_checkpoint,
     save_checkpoint,
 )
-from soccerlab.netcore import ParamSet, Tensor, mlp_elu, wrap_leaves
+from soccerlab.netcore import ParamSet, Tensor, mlp_elu
 
+from tests import reference_graph as graph
 from tests.test_autodiff import finite_difference
 
 ARCH = ArchSpec(embed_sizes=(8, 5), trunk_sizes=(12, 10), core_size=9)
@@ -67,9 +68,8 @@ def test_identical_blocks_collapse_the_pool():
         lo = NONPLAYER_DIM + k * PLAYER_BLOCK_DIM
         obs[:, lo : lo + PLAYER_BLOCK_DIM] = block
 
-    leaves = wrap_leaves(params.arrays)
-    encoded = _encode(leaves, Tensor(obs), len(ARCH.embed_sizes)).data
-    embed = mlp_elu(leaves, "embed", Tensor(block), len(ARCH.embed_sizes)).data
+    encoded, _ = _encode(params.arrays, obs, len(ARCH.embed_sizes))
+    embed = mlp_elu(params.arrays, "embed", block, len(ARCH.embed_sizes))[-1]
     expected = np.concatenate([obs[:, :NONPLAYER_DIM], embed, embed, embed], axis=-1)
     np.testing.assert_allclose(encoded, expected, atol=1e-12)
 
@@ -82,7 +82,7 @@ def test_zeroed_embedding_passes_nonplayer_features_through():
         if name.startswith("embed."):
             params.arrays[name][:] = 0.0
     obs = random_obs(rng)
-    encoded = _encode(wrap_leaves(params.arrays), Tensor(obs), len(ARCH.embed_sizes)).data
+    encoded, _ = _encode(params.arrays, obs, len(ARCH.embed_sizes))
     np.testing.assert_array_equal(encoded[:, :NONPLAYER_DIM], obs[:, :NONPLAYER_DIM])
     np.testing.assert_array_equal(encoded[:, NONPLAYER_DIM:], 0.0)
 
@@ -168,21 +168,28 @@ def test_apply_equals_forward_on_leaves_bit_for_bit(arch, batch, monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", recording_init)
     p_got = policy.apply(p_params, obs, p_state)
     c_got = critic.apply(c_params, obs, action, c_state)
+    (p_mean, p_stddev), p_new, _ = policy.forward(p_params.arrays, obs, p_state)
+    (q,), c_new, _ = critic.forward(c_params.arrays, obs, action, c_state)
     assert built == []
 
-    *p_out, p_new = policy.forward(wrap_leaves(p_params.arrays), Tensor(obs), p_state)
-    q, c_new = critic.forward(wrap_leaves(c_params.arrays), Tensor(obs), Tensor(action), c_state)
-    expected = [*p_out, q]
+    # The same nets recorded on leaves of the reference graph.
+    leaves = {name: graph.Tensor(arr) for name, arr in p_params.arrays.items()}
+    *ref_p, ref_p_new = graph.policy_forward(policy, leaves, obs, p_state)
+    leaves = {name: graph.Tensor(arr) for name, arr in c_params.arrays.items()}
+    ref_q, ref_c_new = graph.critic_forward(critic, leaves, obs, action, c_state)
+    expected = [*ref_p, ref_q]
+    forward = [p_mean, p_stddev, q]
     got = [p_got[0], p_got[1], c_got[0]]
     if arch.recurrent:
-        expected += [*p_new, *c_new]
+        expected += [*ref_p_new, *ref_c_new]
+        forward += [*p_new, *c_new]
         got += [*p_got[2], *c_got[1]]
     else:
-        assert p_got[2] is None and c_got[1] is None
-    for value, tensor in zip(got, expected, strict=True):
-        assert type(value) is np.ndarray and isinstance(tensor, Tensor)
+        assert p_got[2] is None and c_got[1] is None and p_new is None and c_new is None
+    for value, same, tensor in zip(got, forward, expected, strict=True):
+        assert type(value) is np.ndarray and isinstance(tensor, graph.Tensor)
         assert value.shape == tensor.data.shape
-        assert value.tobytes() == tensor.data.tobytes()
+        assert value.tobytes() == same.tobytes() == tensor.data.tobytes()
 
 
 def test_critic_action_gradient_matches_finite_differences():
@@ -192,15 +199,18 @@ def test_critic_action_gradient_matches_finite_differences():
     obs = random_obs(rng, batch=1)
     action = rng.normal(size=(1, ACTION_DIM))
 
-    leaves = wrap_leaves(params.arrays)
+    _, _, cache = critic.forward(params.arrays, obs, action)
     for head in range(4):
-        leaf = Tensor(action.copy())
-        q, _ = critic.forward(leaves, obs, leaf)
-        q[0, head].backward()
+        d_q = np.zeros((1, 4))
+        d_q[0, head] = 1.0
+        d_action, _ = critic.backward(params.arrays, cache, (d_q,), None, None)
         fd = finite_difference(
             lambda a: float(critic.apply(params, obs, a)[0][0, head]), action.copy()
         )
-        np.testing.assert_allclose(leaf.grad, fd, atol=1e-6, rtol=1e-4)
+        np.testing.assert_allclose(d_action, fd, atol=1e-6, rtol=1e-4)
+        # A parameter gradient does not change the action gradient.
+        with_grads, _ = critic.backward(params.arrays, cache, (d_q,), None, {})
+        np.testing.assert_array_equal(with_grads, d_action)
 
 
 def test_critic_appends_action_after_encoding():
@@ -222,16 +232,19 @@ def test_critic_appends_action_after_encoding():
 
 def test_gradients_reach_every_parameter_group():
     policy = PolicyNet(ARCH_LSTM)
-    params = policy.init_params(np.random.default_rng(19))
+    params = policy.init_params(np.random.default_rng(19)).arrays
     obs = random_obs(np.random.default_rng(20), batch=2)
-    leaves = wrap_leaves(params.arrays)
     # Two carried steps: the recurrent weight only sees gradient once the
     # hidden state is non-zero.
-    _, _, state = policy.forward(leaves, obs, policy.zero_state(2))
-    mean, stddev, _ = policy.forward(leaves, obs, state)
-    (mean.sum() + stddev.sum()).backward()
-    for name, leaf in leaves.items():
-        assert leaf.grad is not None and np.any(leaf.grad != 0.0), name
+    (mean, stddev), state, first = policy.forward(params, obs, policy.zero_state(2))
+    (mean, stddev), _, second = policy.forward(params, obs, state)
+    grads = {}
+    ones = (np.ones_like(mean), np.ones_like(stddev))
+    _, d_state = policy.backward(params, second, ones, None, grads)
+    policy.backward(params, first, (np.zeros_like(mean), np.zeros_like(stddev)), d_state, grads)
+    assert set(grads) == set(params)
+    for name, grad in grads.items():
+        assert np.any(grad != 0.0), name
 
 
 def test_desk_arch_is_smaller_but_same_shape_family():

@@ -92,7 +92,6 @@ def test_recurrent_states_are_recorded_and_partitioned():
     assert [len(s) for s in snippets] == [20, 20]
     np.testing.assert_array_equal(snippets[0].policy_state0[0], traj.policy_states[10][0])
     np.testing.assert_array_equal(snippets[1].critic_state0[1], traj.critic_states[30][1])
-    assert snippets[0].behavior_id == "agent0"
 
 
 def test_feedforward_matches_have_no_states():
