@@ -19,10 +19,10 @@ import numpy as np
 from . import records
 from .env import (
     N_PLAYERS,
-    TEAM_OF,
-    TEAMMATE_OF,
+    OTHERS_OF,
     EnvConfig,
     EnvState,
+    displaced_observations,
     observe,
     probe_reset,
     shaping_rewards,
@@ -135,8 +135,8 @@ def extract_stats(result: MatchResult) -> BehaviorStats:
         for team in (0, 1):
             gap = state.player_pos[2 * team] - state.player_pos[2 * team + 1]
             spread_hits += float(np.hypot(gap[0], gap[1])) >= SPREAD_DISTANCE
-        for i in range(N_PLAYERS):
-            vel_sum += shaping_rewards(state, i)[0]
+        for vel_to_ball in shaping_rewards(state)[:, 0].tolist():
+            vel_sum += vel_to_ball
     return BehaviorStats(
         *counts,
         spread_fraction=spread_hits / (2 * len(pre)),
@@ -184,6 +184,16 @@ def result_to_records(result: MatchResult, note: str = "") -> list[dict]:
     return records
 
 
+def _numeric_field(record: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        value = np.asarray(record[name], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"trace field {name!r} is not numeric") from None
+    if value.shape != shape:
+        raise ValueError(f"trace field {name!r} must have shape {list(shape)}, got {list(value.shape)}")
+    return value
+
+
 def result_from_records(records: list[dict]) -> MatchResult:
     """Rebuild the physical trajectory; actions and rewards are not kept."""
     header = records[0]
@@ -195,8 +205,8 @@ def result_from_records(records: list[dict]) -> MatchResult:
     states = []
     events = []
     for rec in body:
-        players = np.asarray(rec["players"], dtype=float)
-        ball = [float(v) for v in rec["ball"]]
+        players = _numeric_field(rec, "players", (N_PLAYERS, 6))
+        ball = _numeric_field(rec, "ball", (5,))
         final = rec["type"] == "final"
         states.append(
             EnvState(
@@ -206,9 +216,9 @@ def result_from_records(records: list[dict]) -> MatchResult:
                 player_vel=players[:, 2:4].copy(),
                 player_heading=players[:, 4].copy(),
                 player_angvel=players[:, 5].copy(),
-                ball_pos=np.array(ball[0:2]),
-                ball_vel=np.array(ball[2:4]),
-                ball_spin=ball[4],
+                ball_pos=ball[0:2].copy(),
+                ball_vel=ball[2:4].copy(),
+                ball_spin=float(ball[4]),
                 step_count=int(rec["t"]),
                 terminal=final,
                 score=score if final else (0, 0),
@@ -241,22 +251,11 @@ def gaussian_kl(mean_p, std_p, mean_q, std_q) -> np.ndarray | float:
 
 
 def _entity_index(subset: str, player: int) -> int | None:
-    """World entity moved by the subset, from `player`'s point of view; None = ball."""
+    """World entity moved by the subset, from `player`'s point of view; None = ball.
+    The player subsets follow the observation's order of the other players."""
     if subset == "ball_position":
         return None
-    if subset == "teammate_position":
-        return TEAMMATE_OF[player]
-    opponents = [j for j in range(N_PLAYERS) if TEAM_OF[j] != TEAM_OF[player]]
-    return opponents[0] if subset == "opponent0_position" else opponents[1]
-
-
-def _replaced_observation(state: EnvState, player: int, entity: int | None, pos: np.ndarray) -> np.ndarray:
-    alt = state.copy()
-    if entity is None:
-        alt.ball_pos = np.asarray(pos, dtype=float)
-    else:
-        alt.player_pos[entity] = pos
-    return observe(alt, player)
+    return OTHERS_OF[player][SUBSETS.index(subset) - 1]
 
 
 def counterfactual_profile(
@@ -275,9 +274,11 @@ def counterfactual_profile(
     draws uniform over the pitch (the placement distribution of a fresh
     episode), the same draws for every subset, and the observation is
     re-encoded, so exactly that entity's features change. The true state is
-    observed and run through the policy once per step. Feedforward policies
-    only: a recurrent state would carry the true history into the
-    counterfactual branch. `reverse` swaps the KL direction.
+    observed and run through the policy once per step; the counterfactual
+    observations are that observation with the entity's columns replaced
+    (env.displaced_observations). Feedforward policies only: a recurrent
+    state would carry the true history into the counterfactual branch.
+    `reverse` swaps the KL direction.
     """
     if policy_net.zero_state(1) is not None:
         raise ValueError("counterfactual divergence is only defined for feedforward policies")
@@ -295,16 +296,16 @@ def counterfactual_profile(
     totals = dict.fromkeys(SUBSETS, 0.0)
     for state in result.states[: result.steps]:
         half = np.array([state.pitch_length / 2.0, state.pitch_width / 2.0])
-        true_mean, true_std, _ = policy_net.apply(policy, observe(state, player)[None, :], None)
-        draws = [rng.uniform(-half, half) for _ in range(num_alternatives)]
+        true_obs = observe(state, player)
+        true_mean, true_std, _ = policy_net.apply(policy, true_obs[None, :], None)
+        draws = np.stack([rng.uniform(-half, half) for _ in range(num_alternatives)])
         for subset, entity in entities.items():
             # One forward pass per alternative, same batch shape as the true
             # pass: identical call shapes keep float reduction order
             # identical, so a policy that is functionally independent of the
             # subset reports a divergence of exactly zero.
             alt_means, alt_stds = [], []
-            for pos in draws:
-                alt = _replaced_observation(state, player, entity, pos)
+            for alt in displaced_observations(state, player, true_obs, entity, draws):
                 m, s, _ = policy_net.apply(policy, alt[None, :], None)
                 alt_means.append(m[0])
                 alt_stds.append(s[0])

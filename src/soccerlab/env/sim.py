@@ -7,11 +7,15 @@ force scaling, clamped to [-1, 1] x [-1, 1] x [0, 1]. Integration is
 semi-implicit Euler at substep resolution; player-player contacts are
 deliberately not resolved. Stepping is pure: a new state is returned and
 all randomness comes from a counter-based generator stored in the state.
+
+A step and an observation are array code over the player axis. Only the
+player-ball contacts run player by player, in index order, because each
+contact sees the ball as the previous one left it; that loop runs only in
+the substeps where some player is within contact range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +28,22 @@ OBS_DIM = 40
 ACTION_DIM = 3
 CHANNEL_NAMES = ("goal", "concede", "vel_to_ball", "vel_ball_to_goal")
 N_CHANNELS = len(CHANNEL_NAMES)
+# The players each player observes, teammate first, then the opponents.
+OTHERS_OF = tuple(
+    (TEAMMATE_OF[i],) + tuple(j for j in range(N_PLAYERS) if TEAM_OF[j] != TEAM_OF[i]) for i in range(N_PLAYERS)
+)
+_TEAM = np.array(TEAM_OF)
+_OTHERS = np.array(OTHERS_OF)
+
+# Observation layout, in the observer's body frame (x ahead, y to its left):
+#   0:2 own velocity; 2:4 sin and cos of the heading relative to the attack
+#   direction; 4 angular velocity; 5:7 ball position; 7:9 ball velocity
+#   relative to the observer; 9 ball spin; 10:12 own goal; 12:14 opponent
+#   goal; 14:22 the four corners; then one 6-column block per other player
+#   (OTHERS_OF order): position, velocity, sin and cos of relative heading.
+BALL_COLUMNS = slice(5, 7)
+NONPLAYER_DIM = 22
+PLAYER_BLOCK_DIM = 6
 
 
 @dataclass
@@ -108,39 +128,79 @@ def goal_centers(state: EnvState) -> np.ndarray:
     return np.array([[-gx, 0.0], [gx, 0.0]])
 
 
+_ACTION_LOW = np.array([-1.0, -1.0, 0.0])
+_ACTION_HIGH = np.array([1.0, 1.0, 1.0])
+
+
 def _clean_actions(actions) -> tuple[np.ndarray, list[int]]:
     acts = np.asarray(actions, dtype=np.float64)
     if acts.shape != (N_PLAYERS, ACTION_DIM):
         raise ValueError(f"actions must have shape {(N_PLAYERS, ACTION_DIM)}, got {acts.shape}")
-    acts = acts.copy()
-    bad = []
+    finite = np.isfinite(acts).all(axis=1)
+    acts = np.where(finite[:, None], acts, 0.0)
+    return np.clip(acts, _ACTION_LOW, _ACTION_HIGH), np.flatnonzero(~finite).tolist()
+
+
+def _projected_speeds(velocity: np.ndarray, from_pos: np.ndarray, to_pos: np.ndarray) -> np.ndarray:
+    """Signed speed of each `velocity` row along the unit vector from_pos ->
+    to_pos of its row (rows broadcast); 0 where the two points (nearly)
+    coincide."""
+    d = to_pos - from_pos
+    norm = np.hypot(d[:, 0], d[:, 1])
+    along = (velocity[:, None, :] @ d[:, :, None])[:, 0, 0]
+    close = norm < 1e-9
+    return np.where(close, 0.0, along / np.where(close, 1.0, norm))
+
+
+def shaping_rewards(state: EnvState) -> np.ndarray:
+    """[N_PLAYERS, 2]: each player's (vel-to-ball, vel-ball-to-goal) at the
+    given state. vel-to-ball is clipped below at 0."""
+    to_ball = _projected_speeds(state.player_vel, state.player_pos, state.ball_pos[None, :])
+    targets = goal_centers(state)[1 - _TEAM]
+    to_goal = _projected_speeds(state.ball_vel[None, :], state.ball_pos[None, :], targets)
+    return np.stack([np.where(to_ball > 0.0, to_ball, 0.0), to_goal], axis=1)
+
+
+def _resolve_contacts(config: EnvConfig, s: EnvState, acts: np.ndarray, dt: float) -> None:
+    """Player <-> ball impulses, kicks and overlap pushes, in player order:
+    each contact sees the ball as the previous ones left it."""
+    contact_dist = config.player_radius + config.ball_radius
     for i in range(N_PLAYERS):
-        if not np.all(np.isfinite(acts[i])):
-            acts[i] = 0.0
-            bad.append(i)
-    acts[:, 0] = np.clip(acts[:, 0], -1.0, 1.0)
-    acts[:, 1] = np.clip(acts[:, 1], -1.0, 1.0)
-    acts[:, 2] = np.clip(acts[:, 2], 0.0, 1.0)
-    return acts, bad
+        offset = s.ball_pos - s.player_pos[i]
+        dist = float(np.hypot(offset[0], offset[1]))
+        if dist >= contact_dist:
+            continue
+        normal = offset / dist if dist > 1e-9 else np.array([1.0, 0.0])
+        rel = s.ball_vel - s.player_vel[i]
+        approach = float(np.dot(rel, normal))
+        if approach < 0.0:
+            j = -(1.0 + config.restitution_player_ball) * approach / (
+                1.0 / config.ball_mass + 1.0 / config.player_mass
+            )
+            s.ball_vel = s.ball_vel + (j / config.ball_mass) * normal
+            s.player_vel[i] -= (j / config.player_mass) * normal
+            tangent = np.array([-normal[1], normal[0]])
+            s.ball_spin += config.spin_transfer * float(np.dot(rel, tangent)) / config.ball_radius
+        if acts[i, 2] > 0.0:
+            # kick acts as a contact force pair along the contact normal
+            dv = acts[i, 2] * config.kick_force * dt
+            s.ball_vel = s.ball_vel + (dv / config.ball_mass) * normal
+            s.player_vel[i] -= (dv / config.player_mass) * normal
+        overlap = contact_dist - dist
+        if overlap > 0.0:
+            share = config.player_mass / (config.player_mass + config.ball_mass)
+            s.ball_pos = s.ball_pos + normal * overlap * share
+            s.player_pos[i] -= normal * overlap * (1.0 - share)
 
 
-def projected_speed(velocity: np.ndarray, from_pos: np.ndarray, to_pos: np.ndarray) -> float:
-    """Signed speed of `velocity` along the unit vector from_pos -> to_pos."""
-    d = np.asarray(to_pos, dtype=float) - np.asarray(from_pos, dtype=float)
-    norm = float(np.hypot(d[0], d[1]))
-    if norm < 1e-9:
-        return 0.0
-    return float(np.dot(velocity, d) / norm)
-
-
-def shaping_rewards(state: EnvState, player: int) -> tuple[float, float]:
-    """(vel-to-ball, vel-ball-to-goal) for one player at the given state."""
-    vel_to_ball = max(
-        0.0, projected_speed(state.player_vel[player], state.player_pos[player], state.ball_pos)
-    )
-    target = goal_centers(state)[1 - TEAM_OF[player]]
-    vel_ball_to_goal = projected_speed(state.ball_vel, state.ball_pos, target)
-    return vel_to_ball, vel_ball_to_goal
+def _bounce(pos: float, vel: float, bound: float, restitution: float) -> tuple[float, float]:
+    """One ball coordinate and its velocity after the walls at +-bound: a
+    ball past a wall is put back on it and, if still moving out, reflected."""
+    if pos > bound:
+        return bound, vel * -restitution if vel > 0.0 else vel
+    if pos < -bound:
+        return -bound, vel * -restitution if vel < 0.0 else vel
+    return pos, vel
 
 
 def step(config: EnvConfig, state: EnvState, actions) -> StepResult:
@@ -156,84 +216,77 @@ def step(config: EnvConfig, state: EnvState, actions) -> StepResult:
     goal_half = config.goal_width_fraction * s.pitch_width / 2.0
     wall_x = half_l + config.border_width
     wall_y = half_w + config.border_width
+    ball_bounds = (wall_x - config.ball_radius, wall_y - config.ball_radius)
+    player_bounds = np.array([wall_x - config.player_radius, wall_y - config.player_radius])
+    contact_dist = config.player_radius + config.ball_radius
+    drive = acts[:, :1] * config.drive_accel
+    turn = acts[:, 1] * config.turn_accel
+    ball_decay = dt * config.ball_damping
+    heading_vec = np.empty((N_PLAYERS, 2))
     ball_vel_before = s.ball_vel.copy()
+    # The ball's coordinates live in Python floats within the substeps: the
+    # same IEEE operations as on its arrays, without numpy's per-call cost.
+    bx, by = float(s.ball_pos[0]), float(s.ball_pos[1])
+    vx, vy = float(s.ball_vel[0]), float(s.ball_vel[1])
     scored_team = None
 
     for _ in range(config.substeps):
         # actuation and damping (semi-implicit: velocities first)
-        heading_vec = np.stack([np.cos(s.player_heading), np.sin(s.player_heading)], axis=1)
-        accel = acts[:, :1] * config.drive_accel * heading_vec - config.player_lin_damping * s.player_vel
-        s.player_vel += dt * accel
-        s.player_angvel += dt * (acts[:, 1] * config.turn_accel - config.player_ang_damping * s.player_angvel)
-        s.ball_vel -= dt * config.ball_damping * s.ball_vel
+        np.cos(s.player_heading, out=heading_vec[:, 0])
+        np.sin(s.player_heading, out=heading_vec[:, 1])
+        s.player_vel += dt * (drive * heading_vec - config.player_lin_damping * s.player_vel)
+        s.player_angvel += dt * (turn - config.player_ang_damping * s.player_angvel)
+        vx -= ball_decay * vx
+        vy -= ball_decay * vy
         s.ball_spin -= dt * config.ball_spin_damping * s.ball_spin
 
-        prev_ball = s.ball_pos.copy()
+        prev_x, prev_y = bx, by
         s.player_pos += dt * s.player_vel
         s.player_heading = _wrap_angle(s.player_heading + dt * s.player_angvel)
-        s.ball_pos = s.ball_pos + dt * s.ball_vel
+        bx += dt * vx
+        by += dt * vy
 
         # goal line crossing, checked before any contact response
         for team, sign in ((0, 1.0), (1, -1.0)):
             line = sign * half_l
-            if (prev_ball[0] - line) * sign <= 0.0 < (s.ball_pos[0] - line) * sign:
-                frac = (line - prev_ball[0]) / (s.ball_pos[0] - prev_ball[0])
-                y_cross = prev_ball[1] + frac * (s.ball_pos[1] - prev_ball[1])
+            if (prev_x - line) * sign <= 0.0 < (bx - line) * sign:
+                frac = (line - prev_x) / (bx - prev_x)
+                y_cross = prev_y + frac * (by - prev_y)
                 if abs(y_cross) <= goal_half:
                     scored_team = team
                     break
         if scored_team is not None:
             break
 
-        # player <-> ball impulses; player pairs intentionally pass through
-        contact_dist = config.player_radius + config.ball_radius
-        for i in range(N_PLAYERS):
-            offset = s.ball_pos - s.player_pos[i]
-            dist = float(np.hypot(offset[0], offset[1]))
-            if dist >= contact_dist:
-                continue
-            normal = offset / dist if dist > 1e-9 else np.array([1.0, 0.0])
-            rel = s.ball_vel - s.player_vel[i]
-            approach = float(np.dot(rel, normal))
-            if approach < 0.0:
-                j = -(1.0 + config.restitution_player_ball) * approach / (
-                    1.0 / config.ball_mass + 1.0 / config.player_mass
-                )
-                s.ball_vel = s.ball_vel + (j / config.ball_mass) * normal
-                s.player_vel[i] -= (j / config.player_mass) * normal
-                tangent = np.array([-normal[1], normal[0]])
-                s.ball_spin += config.spin_transfer * float(np.dot(rel, tangent)) / config.ball_radius
-            if acts[i, 2] > 0.0:
-                # kick acts as a contact force pair along the contact normal
-                dv = acts[i, 2] * config.kick_force * dt
-                s.ball_vel = s.ball_vel + (dv / config.ball_mass) * normal
-                s.player_vel[i] -= (dv / config.player_mass) * normal
-            overlap = contact_dist - dist
-            if overlap > 0.0:
-                share = config.player_mass / (config.player_mass + config.ball_mass)
-                s.ball_pos = s.ball_pos + normal * overlap * share
-                s.player_pos[i] -= normal * overlap * (1.0 - share)
+        # player <-> ball impulses; player pairs intentionally pass through.
+        # Only a contact moves the ball here, so if no player is in range
+        # now, none comes into range before the walls.
+        if (np.hypot(bx - s.player_pos[:, 0], by - s.player_pos[:, 1]) < contact_dist).any():
+            s.ball_pos, s.ball_vel = np.array([bx, by]), np.array([vx, vy])
+            _resolve_contacts(config, s, acts, dt)
+            (bx, by), (vx, vy) = s.ball_pos.tolist(), s.ball_vel.tolist()
 
         # outer walls: ball bounces, players stop
-        for axis, bound in ((0, wall_x - config.ball_radius), (1, wall_y - config.ball_radius)):
-            if abs(s.ball_pos[axis]) > bound:
-                edge = np.sign(s.ball_pos[axis]) * bound
-                s.ball_pos[axis] = edge
-                if s.ball_vel[axis] * np.sign(edge) > 0.0:
-                    s.ball_vel[axis] *= -config.restitution_wall
-        for axis, bound in ((0, wall_x - config.player_radius), (1, wall_y - config.player_radius)):
-            outside = np.abs(s.player_pos[:, axis]) > bound
-            if np.any(outside):
-                signs = np.sign(s.player_pos[outside, axis])
-                s.player_pos[outside, axis] = signs * bound
-                moving_out = s.player_vel[outside, axis] * signs > 0.0
-                vels = s.player_vel[outside, axis]
+        bx, vx = _bounce(bx, vx, ball_bounds[0], config.restitution_wall)
+        by, vy = _bounce(by, vy, ball_bounds[1], config.restitution_wall)
+        outside = np.abs(s.player_pos) > player_bounds
+        if outside.any():
+            for axis in (0, 1):
+                out = outside[:, axis]
+                signs = np.sign(s.player_pos[out, axis])
+                s.player_pos[out, axis] = signs * player_bounds[axis]
+                moving_out = s.player_vel[out, axis] * signs > 0.0
+                vels = s.player_vel[out, axis]
                 vels[moving_out] = 0.0
-                s.player_vel[outside, axis] = vels
+                s.player_vel[out, axis] = vels
 
-        speed = float(np.hypot(s.ball_vel[0], s.ball_vel[1]))
+        speed = float(np.hypot(vx, vy))
         if speed > config.ball_speed_limit:
-            s.ball_vel *= config.ball_speed_limit / speed
+            scale = config.ball_speed_limit / speed
+            vx *= scale
+            vy *= scale
+
+    s.ball_pos, s.ball_vel = np.array([bx, by]), np.array([vx, vy])
 
     # touch: the ball changed velocity near someone within possession range
     dv = float(np.hypot(*(s.ball_vel - ball_vel_before)))
@@ -265,15 +318,11 @@ def step(config: EnvConfig, state: EnvState, actions) -> StepResult:
         s.terminal = True
 
     rewards = np.zeros((N_PLAYERS, N_CHANNELS))
-    for i in range(N_PLAYERS):
-        if scored_team is not None:
-            if TEAM_OF[i] == scored_team:
-                rewards[i, 0] = 1.0
-            else:
-                rewards[i, 1] = -1.0
-        vel_to_ball, vel_ball_to_goal = shaping_rewards(s, i)
-        rewards[i, 2] = vel_to_ball
-        rewards[i, 3] = vel_ball_to_goal
+    if scored_team is not None:
+        scorers = _TEAM == scored_team
+        rewards[scorers, 0] = 1.0
+        rewards[~scorers, 1] = -1.0
+    rewards[:, 2:] = shaping_rewards(s)
 
     return StepResult(s, observe(s), rewards, events, s.terminal)
 
@@ -315,18 +364,18 @@ class WorldView:
     others: list[tuple[np.ndarray, np.ndarray, float]]  # (pos, vel, heading); teammate first
 
 
+def _corners(state: EnvState) -> np.ndarray:
+    half_l = state.pitch_length / 2.0
+    half_w = state.pitch_width / 2.0
+    return np.array([[-half_l, -half_w], [-half_l, half_w], [half_l, -half_w], [half_l, half_w]])
+
+
 def world_view(state: EnvState, player: int) -> WorldView:
     goals = goal_centers(state)
     team = TEAM_OF[player]
-    half_l = state.pitch_length / 2.0
-    half_w = state.pitch_width / 2.0
-    corners = np.array(
-        [[-half_l, -half_w], [-half_l, half_w], [half_l, -half_w], [half_l, half_w]]
-    )
-    order = [TEAMMATE_OF[player]] + [j for j in range(N_PLAYERS) if TEAM_OF[j] != team]
     others = [
         (state.player_pos[j].copy(), state.player_vel[j].copy(), float(state.player_heading[j]))
-        for j in order
+        for j in OTHERS_OF[player]
     ]
     return WorldView(
         position=state.player_pos[player].copy(),
@@ -338,45 +387,87 @@ def world_view(state: EnvState, player: int) -> WorldView:
         ball_spin=float(state.ball_spin),
         own_goal=goals[team].copy(),
         opponent_goal=goals[1 - team].copy(),
-        corners=corners,
+        corners=_corners(state),
         others=others,
     )
 
 
-def observe_view(view: WorldView) -> np.ndarray:
-    """Egocentric 40-dim feature vector; invariant to world-frame isometries."""
-    c, s_ = np.cos(view.heading), np.sin(view.heading)
-    rot = np.array([[c, s_], [-s_, c]])  # world -> body
+def _to_body(heading: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """[B, K, 2] world-frame vectors in the body frames of B headings."""
+    c, s = np.cos(heading), np.sin(heading)
+    rot = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=-2)  # world -> body
+    return (rot[:, None] @ vectors[..., None])[..., 0]
 
-    def to_body(vec):
-        return rot @ np.asarray(vec, dtype=float)
 
-    def rel(point):
-        return to_body(np.asarray(point, dtype=float) - view.position)
-
-    attack = view.opponent_goal - view.own_goal
-    attack_angle = np.arctan2(attack[1], attack[0])
-    rel_heading = view.heading - attack_angle
-
-    parts = [
-        to_body(view.velocity),
-        [np.sin(rel_heading), np.cos(rel_heading)],
-        [view.angular_velocity],
-        rel(view.ball_position),
-        to_body(view.ball_velocity - view.velocity),
-        [view.ball_spin],
-        rel(view.own_goal),
-        rel(view.opponent_goal),
-    ]
-    parts.extend(rel(corner) for corner in view.corners)
-    for pos, vel, heading in view.others:
-        rel_h = heading - view.heading
-        parts.append(rel(pos))
-        parts.append(to_body(vel))
-        parts.append([np.sin(rel_h), np.cos(rel_h)])
-    out = np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
-    assert out.shape == (OBS_DIM,)
+def _egocentric(
+    position,
+    velocity,
+    heading,
+    angular_velocity,
+    ball_position,
+    ball_velocity,
+    ball_spin,
+    own_goal,
+    opponent_goal,
+    corners,
+    others_position,
+    others_velocity,
+    others_heading,
+) -> np.ndarray:
+    """[B, OBS_DIM] observations from world-frame fields with a leading batch
+    axis: points and vectors [B, 2], corners [B, 4, 2], the other players'
+    positions and velocities [B, 3, 2] and headings [B, 3], scalars [B]."""
+    batch = len(position)
+    points = np.concatenate(
+        [ball_position[:, None], own_goal[:, None], opponent_goal[:, None], corners, others_position], axis=1
+    )
+    vectors = np.concatenate([velocity[:, None], (ball_velocity - velocity)[:, None], others_velocity], axis=1)
+    # body rows: 0 ball, 1 own goal, 2 opponent goal, 3:7 corners, 7:10 the
+    # other players (relative to the observer); 10 own velocity, 11 ball
+    # velocity relative to it, 12:15 the other players' velocities.
+    body = _to_body(heading, np.concatenate([points - position[:, None], vectors], axis=1))
+    attack = opponent_goal - own_goal
+    angles = np.concatenate(
+        [(heading - np.arctan2(attack[:, 1], attack[:, 0]))[:, None], others_heading - heading[:, None]], axis=1
+    )
+    sin, cos = np.sin(angles), np.cos(angles)
+    out = np.empty((batch, OBS_DIM))
+    out[:, 0:2] = body[:, 10]
+    out[:, 2] = sin[:, 0]
+    out[:, 3] = cos[:, 0]
+    out[:, 4] = angular_velocity
+    out[:, BALL_COLUMNS] = body[:, 0]
+    out[:, 7:9] = body[:, 11]
+    out[:, 9] = ball_spin
+    out[:, 10:NONPLAYER_DIM] = body[:, 1:7].reshape(batch, 12)
+    others = [body[:, 7:10], body[:, 12:15], sin[:, 1:, None], cos[:, 1:, None]]
+    out[:, NONPLAYER_DIM:] = np.concatenate(others, axis=2).reshape(batch, OBS_DIM - NONPLAYER_DIM)
     return out
+
+
+def observe_view(view: WorldView) -> np.ndarray:
+    """Egocentric 40-dim feature vector; invariant to world-frame isometries.
+    `observe`'s kernel at a batch of one."""
+    others_position, others_velocity, others_heading = zip(*view.others)
+
+    def one(value):
+        return np.asarray(value, dtype=float)[None]
+
+    return _egocentric(
+        one(view.position),
+        one(view.velocity),
+        one(view.heading),
+        one(view.angular_velocity),
+        one(view.ball_position),
+        one(view.ball_velocity),
+        one(view.ball_spin),
+        one(view.own_goal),
+        one(view.opponent_goal),
+        one(view.corners),
+        one(others_position),
+        one(others_velocity),
+        one(others_heading),
+    )[0]
 
 
 def transform_view(view: WorldView, angle: float, translation) -> WorldView:
@@ -407,9 +498,53 @@ def transform_view(view: WorldView, angle: float, translation) -> WorldView:
 
 
 def observe(state: EnvState, player: int | None = None) -> np.ndarray:
-    if player is not None:
-        return observe_view(world_view(state, player))
-    return np.stack([observe_view(world_view(state, i)) for i in range(N_PLAYERS)])
+    """Every player's observation, [N_PLAYERS, OBS_DIM], or one `player`'s
+    [OBS_DIM], in one pass of the kernel over the player axis."""
+    if player is None:
+        players = slice(None)
+    elif 0 <= player < N_PLAYERS:
+        players = slice(player, player + 1)
+    else:
+        raise ValueError(f"player index must lie in [0, {N_PLAYERS}), got {player}")
+    team = _TEAM[players]
+    others = _OTHERS[players]
+    batch = len(team)
+    goals = goal_centers(state)
+    obs = _egocentric(
+        state.player_pos[players],
+        state.player_vel[players],
+        state.player_heading[players],
+        state.player_angvel[players],
+        state.ball_pos[None, :].repeat(batch, axis=0),
+        state.ball_vel[None, :].repeat(batch, axis=0),
+        state.ball_spin,
+        goals[team],
+        goals[1 - team],
+        _corners(state)[None].repeat(batch, axis=0),
+        state.player_pos[others],
+        state.player_vel[others],
+        state.player_heading[others],
+    )
+    return obs if player is None else obs[0]
+
+
+def displaced_observations(
+    state: EnvState, player: int, observation: np.ndarray, entity: int | None, positions: np.ndarray
+) -> np.ndarray:
+    """[A, OBS_DIM]: `observation` (`player`'s at `state`) with one entity
+    moved to each of the A rows of `positions`. `entity` is another player's
+    index, or None for the ball; only that entity's position columns change,
+    to what `observe` gives for the moved state."""
+    if entity is None:
+        start = BALL_COLUMNS.start
+    elif entity in OTHERS_OF[player]:
+        start = NONPLAYER_DIM + PLAYER_BLOCK_DIM * OTHERS_OF[player].index(entity)
+    else:
+        raise ValueError(f"entity {entity} is not one of player {player}'s other players")
+    rel = np.asarray(positions, dtype=float) - state.player_pos[player]
+    out = np.repeat(observation[None, :], len(rel), axis=0)
+    out[:, start : start + 2] = _to_body(state.player_heading[player : player + 1], rel[None])[0]
+    return out
 
 
 # ---- symmetries and scripted layouts ------------------------------------

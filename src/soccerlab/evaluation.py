@@ -8,6 +8,9 @@ difference used to score an agent against a population of evaluators.
 
 Matches are embarrassingly parallel: every match seed is derived from
 (tournament seed, pair, index), so any worker count yields the same matrix.
+
+scipy is imported inside the functions that use it: importing it is most of
+the command line's start-up time, and only the rating and Nash fits need it.
 """
 from __future__ import annotations
 
@@ -18,9 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp, softmax
 
 from . import records
 from .env import EnvConfig
@@ -259,6 +259,9 @@ def fit_elo_scores(
     if np.any(np.diag(counts) != 0):
         raise ValueError("self-matches are not ratable")
 
+    from scipy.optimize import minimize
+    from scipy.sparse.csgraph import connected_components
+
     n_components, labels = connected_components(counts > 0, directed=False)
     components = [np.flatnonzero(labels == k) for k in range(n_components)]
     if len(components) > 1:
@@ -321,6 +324,8 @@ class NashResult:
 def _dual_value(lam: np.ndarray, payoff: np.ndarray) -> tuple[float, np.ndarray]:
     # min_{lam >= 0} logsumexp(A lam) is the dual of maximising entropy over
     # symmetric equilibria; its softmax iterate is the primal candidate.
+    from scipy.special import logsumexp, softmax
+
     z = payoff @ lam
     return float(logsumexp(z)), -(payoff @ softmax(z))
 
@@ -366,6 +371,9 @@ def nash_average(
     form selects the maximum-entropy equilibrium.  If no restart reaches the
     exploitability tolerance the best iterate is returned as-is.
     """
+    from scipy.optimize import minimize
+    from scipy.special import softmax
+
     A = payoff.goal_difference if isinstance(payoff, PayoffMatrix) else np.asarray(payoff, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("payoff must be a nonempty square matrix")

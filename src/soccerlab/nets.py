@@ -19,7 +19,6 @@ a JSON meta record plus named ParamSet blocks in one file.
 """
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import records
-from .env import ACTION_DIM, OBS_DIM
+from .env import ACTION_DIM, NONPLAYER_DIM, OBS_DIM, PLAYER_BLOCK_DIM
 from .netcore import (
     ParamSet,
     elu,
@@ -44,11 +43,9 @@ from .netcore import (
 )
 from .netcore import zero_state as _lstm_zero_state
 
-# Observation split: leading block is the player's own view of itself, the
-# ball and the pitch; the trailing three 6-dim blocks describe the teammate
-# and the two opponents (see env.observe_view).
-NONPLAYER_DIM = 22
-PLAYER_BLOCK_DIM = 6
+# Observation split (see env.sim's layout): leading block is the player's
+# own view of itself, the ball and the pitch; the trailing three 6-dim blocks
+# describe the teammate and the two opponents.
 N_OTHER_PLAYERS = 3
 assert NONPLAYER_DIM + N_OTHER_PLAYERS * PLAYER_BLOCK_DIM == OBS_DIM
 
@@ -270,20 +267,21 @@ def _canonical_meta(meta: dict) -> bytes:
 
 
 def save_checkpoint(path, meta: dict, blocks: dict[str, ParamSet]) -> None:
-    payload = io.BytesIO()
-    payload.write(CHECKPOINT_MAGIC)
-    payload.write(struct.pack("<Q", CHECKPOINT_VERSION))
     raw_meta = _canonical_meta(meta)
-    payload.write(struct.pack("<I", len(raw_meta)))
-    payload.write(raw_meta)
-    payload.write(struct.pack("<I", len(blocks)))
-    for name in sorted(blocks):
-        raw_name = name.encode("utf-8")
-        payload.write(struct.pack("<H", len(raw_name)))
-        payload.write(raw_name)
-        blocks[name].write_block(payload)
-    with open(path, "wb") as fh:
-        fh.write(payload.getvalue())
+
+    def write(fh) -> None:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<Q", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(raw_meta)))
+        fh.write(raw_meta)
+        fh.write(struct.pack("<I", len(blocks)))
+        for name in sorted(blocks):
+            raw_name = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw_name)))
+            fh.write(raw_name)
+            blocks[name].write_block(fh)
+
+    records.write_atomically(path, write)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, ParamSet]]:

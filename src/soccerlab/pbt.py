@@ -366,7 +366,8 @@ class Trainer:
 
     def save_checkpoints(self) -> None:
         """Write every agent's checkpoint, then `TRAINER_STATE`: the counters
-        and the scheduler's random stream that `restore` continues."""
+        and the scheduler's random stream that `restore` continues. Each file
+        is replaced whole (records.write_atomically)."""
         if self.out_dir is None:
             return
         for agent in self.agents:
@@ -385,7 +386,8 @@ class Trainer:
             "evolutions": self.evolutions,
             "rng": self.rng.bit_generator.state,
         }
-        (self.out_dir / TRAINER_STATE).write_text(json.dumps(state, sort_keys=True) + "\n", encoding="utf-8")
+        raw = (json.dumps(state, sort_keys=True) + "\n").encode("utf-8")
+        records.write_atomically(self.out_dir / TRAINER_STATE, lambda fh: fh.write(raw))
 
     def restore(self, state: dict) -> None:
         """Continue from a `TRAINER_STATE` record: match numbering, the

@@ -9,11 +9,15 @@ names it. Every other check, coercions included, is the record's
 
     to_json = records.to_json
     from_json = classmethod(records.from_json)
+
+Checkpoints and the trainer state are replaced through `write_atomically`.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import fields
-from typing import get_type_hints
+from pathlib import Path
+from typing import BinaryIO, Callable, get_type_hints
 
 import numpy as np
 
@@ -52,3 +56,19 @@ def from_json(cls, obj: dict):
 
 def _decode(kind, value):
     return kind.from_json(value) if hasattr(kind, "from_json") else value
+
+
+def write_atomically(path, write: Callable[[BinaryIO], object]) -> None:
+    """Write a file through `write(fh)` into a temp file beside it, then
+    move it into place: an exception mid-write leaves the previous file as
+    it was and no temp file behind. (No fsync: this guards against the
+    process failing, not the machine.)"""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -3,7 +3,7 @@ apply/zero_state interface as a policy network but compute actions from the
 egocentric observation directly (stddev 0, so matches are reproducible)."""
 import numpy as np
 
-# Observation slices (body frame): see env.observe_view for the full layout.
+# Observation slices (body frame): see soccerlab.env.sim for the full layout.
 BALL = slice(5, 7)
 OPPONENT_GOAL = slice(12, 14)
 CORNERS = slice(14, 22)

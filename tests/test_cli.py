@@ -1,11 +1,15 @@
 """Command-line contract tests: exit codes, artifact layout, byte-stable
 re-emission, resume semantics, and config validation."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soccerlab
 import soccerlab.pbt as pbt
 from soccerlab.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from soccerlab.evaluation import PayoffMatrix
@@ -69,6 +73,15 @@ def train_tiny(root: Path, name: str, budget: int = 0, extra_sets=()) -> Path:
         argv += ["--set", s]
     assert run(*argv) == EXIT_OK
     return root / name
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is most of the start-up time of every command, and only the
+    # rating and Nash fits use it.
+    code = "import sys, soccerlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(soccerlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -- run config ------------------------------------------------------------------
@@ -469,6 +482,24 @@ class TestAnalysisCommands:
         bad.write_text('{"kind": "wat"}\n')
         assert run("analyze", str(bad)) == EXIT_DATA
         assert "mangled.ndjson" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("players", [0.0] * 6), ("players", [[0.0] * 5] * 4), ("ball", [0.0] * 4), ("ball", "fast")],
+    )
+    def test_analyze_trace_with_misshapen_state_is_data_error(self, field, value, out_root, capsys):
+        header = {"type": "header", "schema": "soccerlab.trace@1", "pitch": [24.0, 18.0],
+                  "teams": [0, 0, 1, 1], "seed": 0, "note": ""}
+        state = {"players": [[0.0] * 6] * 4, "ball": [0.0] * 5}
+        step = {"type": "step", "t": 0, **state, "actions": [[0.0] * 3] * 4, "rewards": [[0.0] * 4] * 4,
+                "events": []}
+        step[field] = value
+        final = {"type": "final", "t": 1, **state, "score": [0, 0]}
+        bad = out_root / "doctored.ndjson"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in (header, step, final)))
+        assert run("analyze", str(bad)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "doctored.ndjson" in err and repr(field) in err
 
     def test_analyze_report_deterministic(self, trained_run, out_root, capsys):
         ckpt = str(sorted((trained_run / "checkpoints").iterdir())[0])

@@ -128,6 +128,28 @@ def test_trajectory_reproducible_bitwise():
     assert run() == run()
 
 
+def test_step_observes_through_observe_once(monkeypatch):
+    # Profilers attribute the observation work of a step by wrapping
+    # `sim.observe`; a step that went around it would hide that work.
+    from soccerlab.env import sim
+
+    calls = []
+    real_observe = sim.observe
+
+    def counted(state, player=None):
+        calls.append(player)
+        return real_observe(state, player)
+
+    monkeypatch.setattr(sim, "observe", counted)
+    cfg = EnvConfig()
+    state = env.reset(cfg, seed=5)
+    for n in range(1, 6):
+        result = env.step(cfg, state, np.zeros((4, 3)))
+        assert calls == [None] * n
+        np.testing.assert_array_equal(result.observations, real_observe(result.state))
+        state = result.state
+
+
 def test_step_rejects_terminal_state_and_bad_shapes():
     cfg = EnvConfig()
     state = env.reset(cfg, seed=0)
@@ -357,23 +379,22 @@ def test_vel_to_ball_is_clipped_projection():
     vel[0] = [3.0, 4.0]  # ball is due +x: projection = 3
     vel[1] = [-2.0, 0.0]  # moving away: clipped to 0
     state = make_state(cfg, [[0.0, 0.0], [2.0, 0.0], [9.0, -6.0], [9.0, 6.0]], [6.0, 0.0], player_vel=vel)
-    assert env.shaping_rewards(state, 0)[0] == pytest.approx(3.0)
-    assert env.shaping_rewards(state, 1)[0] == 0.0
+    assert env.shaping_rewards(state)[0, 0] == pytest.approx(3.0)
+    assert env.shaping_rewards(state)[1, 0] == 0.0
 
 
 def test_vel_ball_to_goal_signed_projection():
     cfg = EnvConfig().fixed_pitch()
     state = make_state(cfg, FAR_CORNERS, [0.0, 0.0], ball_vel=[5.0, 0.0])
     # team 0 attacks +x so the ball races toward its target goal
-    assert env.shaping_rewards(state, 0)[1] == pytest.approx(5.0)
-    assert env.shaping_rewards(state, 2)[1] == pytest.approx(-5.0)
+    assert env.shaping_rewards(state)[0, 1] == pytest.approx(5.0)
+    assert env.shaping_rewards(state)[2, 1] == pytest.approx(-5.0)
 
 
 def test_stationary_world_has_zero_shaping():
     cfg = EnvConfig().fixed_pitch()
     state = make_state(cfg, FAR_CORNERS, [1.0, 1.0])
-    for player in range(4):
-        assert env.shaping_rewards(state, player) == (0.0, 0.0)
+    np.testing.assert_array_equal(env.shaping_rewards(state), np.zeros((4, 2)))
 
 
 # ---- mirror symmetry ----------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 import soccerlab.pbt as pbt
 from soccerlab.env import EnvConfig
 from soccerlab.learner import KNOB_NAMES, AgentHyperparams, LearnerConfig, Learner
-from soccerlab.nets import ArchSpec, CriticNet, PolicyNet
+from soccerlab.netcore import ParamSet
+from soccerlab.nets import ArchSpec, CriticNet, PolicyNet, load_checkpoint
 from soccerlab.pbt import (
     DEFAULT_KNOB_BOUNDS,
     PbtConfig,
@@ -388,6 +389,41 @@ def test_zero_budget_only_writes_initial_checkpoints(tmp_path):
     summary = trainer.run(frame_budget=0)
     assert summary["matches"] == 0
     assert (tmp_path / "checkpoints" / "a0.ckpt").exists()
+
+
+def test_sweep_that_fails_mid_write_leaves_previous_files_whole(monkeypatch, tmp_path):
+    trainer = Trainer(fast_env(), make_population(), PbtConfig(population_size=4), seed=17, out_dir=tmp_path)
+    trainer.save_checkpoints()
+    files = sorted((tmp_path / "checkpoints").iterdir()) + [tmp_path / pbt.TRAINER_STATE]
+    before = {path: path.read_bytes() for path in files}
+    for agent in trainer.agents:
+        for array in agent.learner.policy.arrays.values():
+            array += 1.0
+    trainer.matches_played = 1
+
+    real_write_block = ParamSet.write_block
+    blocks_per_file = len(trainer.agents[0].learner.blocks())
+    calls = []
+
+    def write_block_then_fail(self, fh):
+        calls.append(self)
+        if len(calls) == blocks_per_file + 3:  # partway through the second agent's file
+            fh.write(b"\0" * 100)
+            raise OSError("disk full")
+        real_write_block(self, fh)
+
+    monkeypatch.setattr(ParamSet, "write_block", write_block_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        trainer.save_checkpoints()
+
+    first, *rest = files
+    assert first.read_bytes() != before[first]  # the first agent's file was replaced whole
+    load_checkpoint(first)
+    for path in rest:
+        assert path.read_bytes() == before[path]
+    for path in rest[:-1]:
+        load_checkpoint(path)
+    assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
 
 
 def test_failed_match_is_discarded_and_training_continues(monkeypatch, tmp_path):
